@@ -3,8 +3,9 @@ Two recovery engines: enumeration versus difference calculus
 ============================================================
 
 The naive engine walks every candidate partition up to a size bound and
-compares sample windows.  The delta engine peels blocks off the sample
-window with the discrete derivative, one block per distinct part value.
+compares sample windows.  The delta engine writes the polynomial in the
+binomial basis of the discrete derivative and peels one block per
+distinct part value off its coefficients.
 Both return the same partition; only one of them scales.
 """
 

@@ -135,6 +135,24 @@ def binomial_seq_value(d: int, x: int) -> int:
     return quotient
 
 
+def block_newton(v: int, start: int, end: int) -> list[int]:
+    """Coefficients of C(x, 0..v-1) in the block sum over i in [start, end]
+    of C(x + v - i, v - 1).  It telescopes (Pascal) to C(x + v - start + 1, v)
+    - C(x + v - end, v), and Vandermonde, C(x + c, v) = sum over j of
+    C(c, v - j) C(x, j), expands both: O(v) integer operations for any span.
+    """
+    upper, lower = _binomials(v - start + 1, v), _binomials(v - end, v)
+    return [upper[v - j] - lower[v - j] for j in range(v)]
+
+
+def _binomials(c: int, v: int) -> list[int]:
+    # C(c, 0..v) for any integer c; exact, as b * (c - k) = (k + 1) * C(c, k + 1)
+    out = [1]
+    for k in range(v):
+        out.append(out[-1] * (c - k) // (k + 1))
+    return out
+
+
 def is_integer_sequence(f: Sequence) -> bool:
     """True iff every value in the effective window is an integer."""
     return all(v.denominator == 1 for v in f.window())

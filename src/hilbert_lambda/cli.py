@@ -7,8 +7,8 @@ timing).  ``recover`` and ``check`` read one polynomial per stdin line
 when the positional argument is omitted and emit one result line each,
 in input order.
 
-Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage or parse error.
-Batch mode exits with the worst code seen.
+Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage, parse or other
+error.  Batch mode reports errors per line and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -148,7 +148,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except Exception as exc:  # exit 1 means "not Hilbert", which a crash must not claim
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:
@@ -240,16 +244,15 @@ def _batch(args: argparse.Namespace, render: Callable[[str, Outcome], str]) -> i
         if not line:
             continue
         try:
-            p = parse_polynomial(line)
-        except PolynomialSyntaxError as exc:
+            outcome = _run_engine(parse_polynomial(line), args)
+            print(render(line, outcome))
+        except Exception as exc:  # a parse error or a crash costs this line only
             if args.format == "json":
                 print(json.dumps({"input": line, "error": str(exc)}))
             else:
                 print(f"error: {exc}")
             worst = max(worst, 2)
             continue
-        outcome = _run_engine(p, args)
-        print(render(line, outcome))
         if not isinstance(outcome, Success):
             worst = max(worst, 1)
     return worst

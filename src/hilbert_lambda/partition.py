@@ -7,7 +7,8 @@ A partition (a1 >= a2 >= ... >= ar >= 1) generates the polynomial
 with the binomials read as polynomials in x.  Exactly the polynomials of
 this shape are Hilbert polynomials, and the generating partition is
 unique; the recovery engines in :mod:`hilbert_lambda.recovery` invert the
-construction.
+construction.  Both directions share integer coefficients in the basis
+C(x, k) (:func:`hilbert_lambda.calculus.block_newton`).
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .calculus import binomial_seq_value
-from .polynomial import Polynomial
+from .calculus import binomial_seq_value, block_newton
+from .polynomial import Polynomial, from_newton
 
 
 class NonPositivePartError(ValueError):
@@ -113,30 +113,18 @@ def build_hilbert(partition: Partition) -> Polynomial:
 
     The i-th part a_i (1-based) contributes a term of degree a_i - 1, so
     a non-empty partition yields degree a_1 - 1; the empty partition
-    yields the zero polynomial.
+    yields the zero polynomial.  Each run of equal parts adds its block in
+    the basis C(x, k) in O(value) integer operations, whatever its size.
     """
-    total: list[Fraction] = []
-    for position, part in enumerate(partition.parts, start=1):
-        term = _binomial_shift_coeffs(part - 1, part - position)
-        if len(term) > len(total):
-            total.extend([Fraction(0)] * (len(term) - len(total)))
-        for power, c in enumerate(term):
-            total[power] += c
-    return Polynomial(total)
-
-
-def _binomial_shift_coeffs(d: int, shift: int) -> list[Fraction]:
-    # coefficients of C(x + shift, d) = (x+shift)(x+shift-1)...(x+shift-d+1) / d!
-    coeffs = [Fraction(1)]
-    for j in range(d):
-        constant = Fraction(shift - j)
-        longer = [Fraction(0)] * (len(coeffs) + 1)
-        for power, c in enumerate(coeffs):
-            longer[power] += c * constant
-            longer[power + 1] += c
-        coeffs = longer
-    factorial = math.factorial(d)
-    return [c / factorial for c in coeffs]
+    pairs = to_exponent_form(partition).pairs
+    a = [0] * (pairs[0][0] if pairs else 0)
+    start = 1
+    for value, multiplicity in pairs:
+        end = start + multiplicity - 1
+        for j, b in enumerate(block_newton(value, start, end)):
+            a[j] += b
+        start = end + 1
+    return from_newton(a)
 
 
 def hilbert_value_at(partition: Partition, x: int) -> int:

@@ -17,6 +17,7 @@ All literals are read exactly; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -91,6 +92,35 @@ def sample_points(p: Polynomial, n: int) -> Sequence:
     if n < 0:
         raise ValueError("n must be non-negative")
     return Sequence(p.evaluate(x) for x in range(n + 1))
+
+
+def newton_coeffs(p: Polynomial) -> tuple[int, list[int]]:
+    """``(L, [L*a_0, ..., L*a_n])``: ``L`` the lcm of p's denominators and
+    ``a_k = Δ^k p(0)`` the coefficient of C(x, k) in p.  ``L*p`` is sampled
+    at 0..n by Horner and differenced in place, all in integers.  p is
+    integer-valued exactly when ``L`` divides every entry (Pólya 1915)."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    table = [0] * len(p.coeffs)
+    for coeff in reversed(p.coeffs):
+        c = coeff.numerator * (scale // coeff.denominator)
+        table = [value * x + c for x, value in enumerate(table)]
+    for k in range(1, len(table)):
+        for i in range(len(table) - 1, k - 1, -1):
+            table[i] -= table[i - 1]
+    return scale, table
+
+
+def from_newton(a: list[int]) -> Polynomial:
+    """The polynomial sum over k of a_k C(x, k), in monomials, by Horner over
+    the integers: q_n = a_n and q_k = a_k * n!/k! + (x - k) q_{k+1} give
+    q_0 = n! * p, so the only division is by n! at the end."""
+    acc: list[int] = []
+    scale = 1  # n!/k! inside the loop, n! after it
+    for k in range(len(a) - 1, -1, -1):
+        acc = [high - k * low for high, low in zip([0] + acc, acc + [0])]
+        acc[0] += a[k] * scale
+        scale *= k or 1
+    return Polynomial(Fraction(c, scale) for c in acc)
 
 
 def format_rational(q: Fraction) -> str:

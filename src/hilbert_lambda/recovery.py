@@ -1,14 +1,13 @@
 """Two engines that recover the generating partition from a polynomial.
 
-``recover_delta`` peels the partition off with repeated discrete
-differencing: each pass of :func:`hilbert_lambda.calculus.reduce` exposes
-the degree m and multiplicity r of the next block of equal parts, the
-block's contribution is subtracted from the sample window, and the loop
-ends when the window is identically zero.  ``recover_naive`` searches
-candidate partitions in descending lexicographic order and compares
-values on enough sample points to pin the polynomial down.  Both return
-``Success`` with the partition or ``NotHilbert`` with a structured
-reason.
+``recover_delta`` holds the residual as its integer coefficients
+a_k = Δ^k p(0) in the basis C(x, k): each round's block of equal parts,
+degree m and multiplicity r, is the top nonzero a_m and is subtracted in
+O(m) integer operations, so a decision costs O(n^2) of them; the loop
+ends when every a_k is zero.  ``recover_naive`` searches candidate
+partitions in descending lexicographic order and compares values on
+enough sample points to pin the polynomial down.  Both return
+``Success`` with the partition or ``NotHilbert`` with a structured reason.
 
 Success carries the partition in run-length form.  Innocent-looking
 inputs decide to polynomials of partitions with astronomically many
@@ -21,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import Sequence, binomial_seq_value, is_integer_sequence, reduce
+from .calculus import Sequence, binomial_seq_value, block_newton, is_integer_sequence
+from .calculus import reduce  # noqa: F401  kept as recovery.reduce, which perfbench/worker.py traces
 from .partition import (
     ExponentForm,
     Partition,
@@ -30,7 +30,7 @@ from .partition import (
     non_incr_seqs,
     to_exponent_form,
 )
-from .polynomial import Polynomial, sample_points
+from .polynomial import Polynomial, from_newton, newton_coeffs, sample_points
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class NonIntegerValued:
 
 @dataclass(frozen=True)
 class NegativeLeadingMultiplicity:
-    """A residual window reduced to a negative leading coefficient count."""
+    """The residual's top binomial-basis coefficient, its next block's part count, is negative."""
 
     at_degree: int
     value: int
@@ -108,8 +108,7 @@ def subtract_block(p: Sequence, n: int, part_value: int, start: int, end: int) -
 
     The sum telescopes through the Pascal identity (a polynomial identity,
     so it survives negative arguments) to two binomial values per point,
-    keeping the cost independent of the span width; spans routinely reach
-    astronomical widths on inputs the engine must still decide quickly.
+    so the cost does not depend on the span width, which can be astronomical.
     """
     if len(p) != n + 1:
         raise ValueError(f"window has {len(p)} values, expected {n + 1}")
@@ -126,46 +125,43 @@ def subtract_block(p: Sequence, n: int, part_value: int, start: int, end: int) -
 
 
 def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
-    """Decide Hilbertness of ``p`` and recover its partition by differencing.
+    """Decide Hilbertness of ``p`` and recover its partition by peeling blocks.
 
-    Runs on the sample window p(0..deg p) alone.  Integer values on a
-    window of deg + 1 consecutive points force integer values everywhere,
-    so the up-front window check is exact, not heuristic.
+    Runs on the Newton-basis core: the residual is held as its integer
+    coefficients a_k of C(x, k), which exist exactly when p is
+    integer-valued, so the up-front check is exact.  Each round's block is
+    the top nonzero a_m; removing it costs O(m) integer operations, the
+    decision O(n^2).  Trace residuals p(0..n) are rebuilt only on request.
     """
-    degree = p.degree()
-    if degree is None:
+    n = p.degree()
+    if n is None:
         return Success(ExponentForm(), warnings=("zero polynomial: empty partition by convention",))
-    n = degree
-    window = sample_points(p, n)
-    if not is_integer_sequence(window):
+    scale, a = newton_coeffs(p)
+    if any(value % scale for value in a):
         return NotHilbert(NonIntegerValued())
+    a = [value // scale for value in a]
     blocks: list[tuple[int, int]] = []
     trace: list[TraceStep] = []
-    start = 1
+    start, m = 1, n
     # block degrees strictly decrease, so at most n + 1 subtraction
     # rounds plus one final zero check
     for _ in range(n + 2):
-        if all(value == 0 for value in window.window()):
-            return Success(
-                ExponentForm(tuple(blocks)),
-                trace=tuple(trace) if want_trace else None,
-            )
-        m, r_exact = reduce(window)
-        if r_exact.denominator != 1:
-            raise RuntimeError(f"leading multiplicity {r_exact} is not an integer")
-        r = int(r_exact)
-        if r == 0:
-            raise RuntimeError("reduce returned multiplicity 0 on a nonzero window")
+        while m >= 0 and a[m] == 0:
+            m -= 1
+        if m < 0:
+            return Success(ExponentForm(tuple(blocks)), trace=tuple(trace) if want_trace else None)
+        r = a[m]
         if r < 0:
             return NotHilbert(
                 NegativeLeadingMultiplicity(at_degree=m, value=r),
                 trace=tuple(trace) if want_trace else None,
             )
         end = start + r - 1
-        window = subtract_block(window, n, m + 1, start, end)
+        for j, b in enumerate(block_newton(m + 1, start, end)):
+            a[j] -= b
         blocks.append((m + 1, r))
         if want_trace:
-            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=window.window()))
+            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=sample_points(from_newton(a), n).window()))
         start = end + 1
     raise RuntimeError("block extraction failed to terminate within degree + 2 rounds")
 

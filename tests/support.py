@@ -11,11 +11,21 @@ from fractions import Fraction
 from typing import Iterator
 
 from hilbert_lambda import (
+    ExponentForm,
+    NegativeLeadingMultiplicity,
+    NonIntegerValued,
+    NotHilbert,
+    Outcome,
     Partition,
     Polynomial,
+    Success,
+    TraceStep,
     build_hilbert,
     non_incr_seqs,
     random_partition,
+    reduce,
+    sample_points,
+    subtract_block,
 )
 from hilbert_lambda.cli import main
 
@@ -38,6 +48,31 @@ def falling_binom_coeffs(d: int) -> list[Fraction]:
         coeffs = longer
     factorial = math.factorial(d)
     return [c / factorial for c in coeffs]
+
+
+def window_recover(p: Polynomial) -> Outcome:
+    """Reference for ``recover_delta(p, want_trace=True)`` on a nonzero p:
+    the sample-window engine, O(n^3) in ``Fraction`` operations.
+
+    Each round differences the residual window p(0..n) with ``reduce`` to
+    expose the next block and removes it with ``subtract_block``.
+    """
+    n = p.degree()
+    window = sample_points(p, n)
+    if any(value.denominator != 1 for value in window):
+        return NotHilbert(NonIntegerValued())
+    blocks, trace, start = [], [], 1
+    while any(window):
+        m, r = reduce(window)
+        r = int(r)
+        if r < 0:
+            return NotHilbert(NegativeLeadingMultiplicity(at_degree=m, value=r), trace=tuple(trace))
+        end = start + r - 1
+        window = subtract_block(window, n, m + 1, start, end)
+        blocks.append((m + 1, r))
+        trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=window.window()))
+        start = end + 1
+    return Success(ExponentForm(tuple(blocks)), trace=tuple(trace))
 
 
 def negative_lead_poly(rng) -> Polynomial:

@@ -190,6 +190,35 @@ def test_batch_parse_error_line_json(monkeypatch, capsys):
     assert doc == {"input": "x +", "error": "expected a term at column 3"}
 
 
+# answers and literals over 4 300 digits raise under CPython's int-to-str limit
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="no int-to-str digit limit in this interpreter",
+)
+
+
+@needs_digit_limit
+def test_batch_keeps_deciding_after_a_crashing_line(monkeypatch, capsys):
+    code, out, _ = run_cli(
+        monkeypatch, capsys, ["recover", "--format", "json"], stdin_text="3*x+1\nx^10\nx\n"
+    )
+    assert code == 2
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [doc["input"] for doc in docs] == ["3*x+1", "x^10", "x"]
+    assert (docs[0]["hilbert"], docs[2]["hilbert"]) == (True, False)
+    assert set(docs[1]) == {"input", "error"}
+
+
+@needs_digit_limit
+def test_single_argument_crash_exits_2_without_traceback(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "x^10"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    code, _, err = run_cli(monkeypatch, capsys, ["check", "7" * 5000])
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_check_single_is_quiet(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["check", "1"])
     assert (code, out, err) == (0, "", "")

@@ -28,7 +28,8 @@ from hilbert_lambda.partition import (
     to_exponent_form,
     validate_partition,
 )
-from hilbert_lambda.polynomial import format_polynomial
+from hilbert_lambda.polynomial import Polynomial, format_polynomial
+from support import falling_binom_coeffs
 
 partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
@@ -154,6 +155,30 @@ def test_build_hilbert_degree_and_leading_sign():
         p = build_hilbert(lam)
         assert p.degree() == lam.parts[0] - 1
         assert p.coeffs[-1] > 0
+
+
+def _term_by_term(lam: Partition) -> list[Fraction]:
+    # C(x + s, d) from the coefficients c_k of C(x, d): c_k (x + s)^k expanded
+    # by the binomial theorem, one term per part
+    total: list[Fraction] = []
+    for position, part in enumerate(lam.parts, start=1):
+        d, shift = part - 1, part - position
+        total.extend([Fraction(0)] * (d + 1 - len(total)))
+        for k, c in enumerate(falling_binom_coeffs(d)):
+            for i in range(k + 1):
+                total[i] += c * math.comb(k, i) * shift ** (k - i)
+    return total
+
+
+def test_build_hilbert_matches_term_by_term_expansion():
+    rng = random.Random(40)
+    cases = [Partition(tuple(range(61, 0, -1)))]  # staircase of degree 60
+    for _ in range(25):
+        pool = rng.sample(range(1, 41), rng.randint(1, 6))  # repeats give runs of equal parts
+        parts = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        cases.append(Partition(tuple(sorted(parts, reverse=True))))
+    for lam in cases:
+        assert build_hilbert(lam) == Polynomial(_term_by_term(lam)), lam
 
 
 def test_hilbert_value_at_known_points():

@@ -8,8 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbert_lambda.calculus import Sequence, binomial_seq_value
-from hilbert_lambda.partition import ExponentForm, Partition, build_hilbert, to_exponent_form
-from hilbert_lambda.polynomial import Polynomial, parse_polynomial, sample_points
+from hilbert_lambda.partition import (
+    ExponentForm,
+    Partition,
+    build_hilbert,
+    random_partition,
+    to_exponent_form,
+)
+from hilbert_lambda.polynomial import Polynomial, format_polynomial, parse_polynomial, sample_points
 from hilbert_lambda.recovery import (
     NegativeLeadingMultiplicity,
     NonIntegerValued,
@@ -21,7 +27,7 @@ from hilbert_lambda.recovery import (
     recover_naive,
     subtract_block,
 )
-from support import negative_lead_poly, shifted_hilbert_poly
+from support import negative_lead_poly, shifted_hilbert_poly, window_recover
 
 partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
@@ -183,6 +189,34 @@ def test_recover_delta_round_trip(lam):
     block_degrees = [step.m for step in outcome.trace or ()]
     assert block_degrees == sorted(block_degrees, reverse=True)
     assert len(set(block_degrees)) == len(block_degrees)
+
+
+def _equivalence_inputs() -> list[Polynomial]:
+    rng = random.Random(20261018)
+    inputs = []
+    for _ in range(150):
+        inputs.append(build_hilbert(random_partition(12, 8, rng)))
+        inputs.append(shifted_hilbert_poly(rng))
+        inputs.append(negative_lead_poly(rng))
+        # mostly not integer-valued; the integer-valued ones are rejected
+        # or accepted on structure
+        degree = rng.randint(0, 6)
+        inputs.append(
+            Polynomial(
+                [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 6, 24])) for _ in range(degree)]
+                + [Fraction(rng.randint(1, 9), rng.choice([1, 2, 6, 120]))]
+            )
+        )
+    inputs += [parse_polynomial(f"x^{d}") for d in range(8, 12)]
+    inputs += [parse_polynomial(f"9*x^{d}") for d in range(5, 9)]
+    return inputs
+
+
+def test_recover_delta_matches_window_engine_with_trace():
+    # the Newton-basis core against the sample-window engine it replaced,
+    # trace residuals included
+    for p in _equivalence_inputs():
+        assert recover_delta(p, want_trace=True) == window_recover(p), format_polynomial(p)
 
 
 def test_recover_delta_staircase_needs_every_round():
