@@ -6,8 +6,11 @@ The partition (a1 >= ... >= ar >= 1) generates
     h(x) = sum over i of C(x + a_i - i, a_i - 1),
 
 binomials read as polynomials in x.  ``recover_delta`` inverts the map
-by repeated discrete differencing; ``recover_naive`` inverts it by
-bounded enumeration and serves as a cross-check oracle.
+on the integer coefficients a_k = Δ^k p(0) of p in the basis C(x, k):
+p is integer-valued exactly when every a_k is an integer, and each round
+peels the block of equal parts read off the top nonzero a_k.
+``build_hilbert`` adds the same block coefficients.  ``recover_naive``
+inverts the map by bounded enumeration and serves as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .partition import (
     parse_partition,
     random_partition,
     to_exponent_form,
-    validate_partition,
 )
 from .polynomial import (
     DenominatorZeroError,
@@ -107,5 +109,4 @@ __all__ = [
     "sample_points",
     "subtract_block",
     "to_exponent_form",
-    "validate_partition",
 ]

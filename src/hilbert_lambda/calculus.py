@@ -1,10 +1,11 @@
-"""Discrete-derivative machinery over exact rational sequences.
+"""Exact discrete-derivative machinery and the binomial-basis blocks.
 
-A :class:`Sequence` is a finite window (f(0), ..., f(k-1)) of exact
-rationals.  The forward difference operator maps it to the window of
-adjacent differences, one entry shorter; repeatedly differencing the
-samples of a polynomial reaches a constant window whose value pins down
-the leading coefficient.
+The engines hold a polynomial as its integer coefficients a_k = Δ^k p(0)
+in the basis C(x, k); :func:`block_newton` gives the coefficients of one
+block of equal parts in that basis, in O(v) integer operations.
+:class:`Sequence`, :func:`delta` and :func:`reduce` difference a finite
+window of samples f(0), ..., f(k-1) directly: the reference route to the
+same degrees and leading coefficients, kept for tests and demos.
 """
 
 from __future__ import annotations
@@ -17,69 +18,60 @@ Rational = Union[int, Fraction]
 
 
 class LengthTooShortError(ValueError):
-    """Raised when an operation needs a longer effective window."""
+    """Raised when an operation needs a longer window."""
 
 
 class Sequence:
-    """Immutable window of exact rational values.
+    """Immutable, non-empty window (f(0), ..., f(k-1)) of exact rationals.
 
-    Entries beyond ``effective_length`` are carried along but ignored by
-    every operation, so a short window can share storage with a longer
-    one.  Equality and hashing look at the effective window only.
+    Values are stored as ``Fraction``; equality and hashing compare the
+    values.
     """
 
-    __slots__ = ("values", "effective_length")
+    __slots__ = ("values",)
 
-    def __init__(self, values: Iterable[Rational], effective_length: int | None = None):
-        vals = tuple(Fraction(v) for v in values)
-        if not vals:
+    def __init__(self, values: Iterable[Rational]):
+        self.values = tuple(Fraction(v) for v in values)
+        if not self.values:
             raise ValueError("a sequence needs at least one value")
-        if effective_length is None:
-            effective_length = len(vals)
-        if not 1 <= effective_length <= len(vals):
-            raise ValueError(
-                f"effective_length must be in 1..{len(vals)}, got {effective_length}"
-            )
-        self.values = vals
-        self.effective_length = effective_length
 
     def window(self) -> tuple[Fraction, ...]:
-        """The effective values, as a tuple."""
-        return self.values[: self.effective_length]
+        """The values, as a tuple."""
+        return self.values
 
     def __len__(self) -> int:
-        return self.effective_length
+        return len(self.values)
 
     def __getitem__(self, index: int) -> Fraction:
-        if not 0 <= index < self.effective_length:
+        if not 0 <= index < len(self.values):
             raise IndexError(index)
         return self.values[index]
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.window())
+        return iter(self.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
-        return self.window() == other.window()
+        return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(self.window())
+        return hash(self.values)
 
     def __repr__(self) -> str:
-        return f"Sequence({list(self.window())!r})"
+        return f"Sequence({list(self.values)!r})"
 
 
 def delta(f: Sequence) -> Sequence:
     """Forward difference: value i of the result is f(i+1) - f(i)."""
-    if f.effective_length < 2:
-        raise LengthTooShortError("need an effective window of at least 2 values")
-    w = f.window()
+    if len(f) < 2:
+        raise LengthTooShortError("need a window of at least 2 values")
+    w = f.values
     return Sequence(w[i + 1] - w[i] for i in range(len(w) - 1))
 
 
 def is_constant(f: Sequence) -> bool:
-    """True iff every value in the effective window equals the first.
+    """True iff every value in the window equals the first.
 
     A size-1 window counts as constant.
     """
@@ -96,7 +88,7 @@ def reduce(f: Sequence) -> tuple[int, Fraction]:
     input sequence is never modified.
 
     The all-zero window is rejected: it would report ``(0, 0)``, and the
-    recovery loop treats ``c`` as a multiplicity that must never be zero.
+    sample-window recovery treats ``c`` as a multiplicity that must never be zero.
     """
     scratch = list(f.window())
     if all(v == 0 for v in scratch):
@@ -154,5 +146,5 @@ def _binomials(c: int, v: int) -> list[int]:
 
 
 def is_integer_sequence(f: Sequence) -> bool:
-    """True iff every value in the effective window is an integer."""
+    """True iff every value in the window is an integer."""
     return all(v.denominator == 1 for v in f.window())

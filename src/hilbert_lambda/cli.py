@@ -5,7 +5,7 @@ Subcommands: ``recover`` (polynomial -> partition or rejection),
 ``random`` (seeded instance generation), ``bench`` (delta vs naive
 timing).  ``recover`` and ``check`` read one polynomial per stdin line
 when the positional argument is omitted and emit one result line each,
-in input order.
+in input order; a polynomial argument is decided as a batch of one.
 
 Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage, parse or other
 error.  Batch mode reports errors per line and exits with the worst code.
@@ -49,95 +49,69 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--engine",
-        choices=("delta", "naive"),
-        default="delta",
-        help="recovery engine (default: delta)",
-    )
-    common.add_argument(
-        "--r-max",
-        type=_positive_int,
-        default=10,
-        metavar="K",
-        help="partition-length bound for the naive engine (default: 10)",
-    )
-    common.add_argument(
-        "--ambient",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="also report whether the largest part fits within N",
-    )
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="S",
-        help="seed for the random subcommand",
-    )
-    common.add_argument(
-        "--verbose",
-        action="store_true",
-        help="include the per-round recovery trace",
-    )
+_OPTIONS = {
+    "--engine": {"choices": ("delta", "naive"), "default": "delta", "help": "recovery engine (default: delta)"},
+    "--r-max": {
+        "type": _positive_int,
+        "default": 10,
+        "metavar": "K",
+        "help": "partition-length bound for the naive engine (default: 10)",
+    },
+    "--ambient": {
+        "type": _positive_int,
+        "default": None,
+        "metavar": "N",
+        "help": "also report whether the largest part fits within N",
+    },
+    "--verbose": {"action": "store_true", "help": "include the per-round recovery trace"},
+    "--format": {"choices": ("text", "json"), "default": "text", "help": "output format (default: text)"},
+    "--seed": {"type": int, "default": None, "metavar": "S", "help": "random seed (default: unseeded)"},
+}
+_DECIDE_OPTIONS = ("--engine", "--r-max", "--ambient", "--format", "--verbose")
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbert-lambda",
         description="Decide Hilbert-ness of a rational polynomial and recover its partition.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    recover = commands.add_parser(
-        "recover",
-        parents=[common],
-        help="recover the partition from a polynomial (stdin batch when omitted)",
+    def add(name: str, handler: Callable, options: tuple[str, ...], help_text: str):
+        # each subcommand takes only the options it reads; any other is a usage error
+        sub = commands.add_parser(name, help=help_text, description=help_text)
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
+        sub.set_defaults(handler=handler)
+        return sub
+
+    recover = add(
+        "recover", _cmd_decide, _DECIDE_OPTIONS, "recover the partition from a polynomial (stdin batch when omitted)"
     )
     recover.add_argument("polynomial", nargs="?", default=None, help="polynomial text, e.g. '3*x + 1'")
-    recover.set_defaults(handler=_cmd_recover)
-
-    check = commands.add_parser(
+    check = add(
         "check",
-        parents=[common],
-        help="exit 0 iff the polynomial is a Hilbert polynomial (stdin batch when omitted)",
+        _cmd_decide,
+        _DECIDE_OPTIONS,
+        "exit 0 iff the polynomial is a Hilbert polynomial (stdin batch when omitted)",
     )
     check.add_argument("polynomial", nargs="?", default=None, help="polynomial text")
-    check.set_defaults(handler=_cmd_check)
-
-    build = commands.add_parser(
-        "build",
-        parents=[common],
-        help="build the polynomial a partition generates",
-    )
+    build = add("build", _cmd_build, ("--format",), "build the polynomial a partition generates")
     build.add_argument("partition", help="partition text, e.g. '(2^3,1)' or '[2,2,2,1]'")
-    build.set_defaults(handler=_cmd_build)
-
-    rand = commands.add_parser(
-        "random",
-        parents=[common],
-        help="emit a uniformly random partition and its polynomial",
+    rand = add(
+        "random", _cmd_random, ("--format", "--seed"), "emit a uniformly random partition and its polynomial"
     )
     rand.add_argument("max_part", type=_positive_int, help="largest allowed part")
     rand.add_argument("max_len", type=_positive_int, help="largest allowed number of parts")
-    rand.set_defaults(handler=_cmd_random)
-
-    bench = commands.add_parser(
+    bench = add(
         "bench",
-        parents=[common],
-        help="time both engines on the staircase partition (degree+1, degree, ..., 1)",
+        _cmd_bench,
+        ("--format",),
+        "time both engines on the staircase partition (degree+1, degree, ..., 1);"
+        " the naive half grows about 3x per degree",
     )
     bench.add_argument("degree", type=_positive_int, help="degree of the benchmark polynomial")
     bench.add_argument("reps", type=_positive_int, nargs="?", default=5, help="timed repetitions (default: 5)")
-    bench.set_defaults(handler=_cmd_bench)
-
     return parser
 
 
@@ -165,15 +139,15 @@ def _run_engine(p: Polynomial, args: argparse.Namespace) -> Outcome:
     return recover_delta(p, want_trace=args.verbose)
 
 
-def _print_syntax_error(text: str, exc: PolynomialSyntaxError) -> None:
-    print(f"error: {exc}", file=sys.stderr)
-    print(f"  {text}", file=sys.stderr)
-    print("  " + " " * exc.position + "^", file=sys.stderr)
-
-
 # ceiling on the expanded part count before lambda_flat is suppressed;
 # recovered multiplicities can reach 10^80+ even for small inputs
 FLAT_PARTS_LIMIT = 100_000
+
+
+def _fits_ambient(outcome: Success, ambient: int) -> bool:
+    # the first pair holds the largest part; the empty partition fits anywhere
+    pairs = outcome.form.pairs
+    return not pairs or pairs[0][0] <= ambient
 
 
 def _recover_payload(text: str, outcome: Outcome, ambient: int | None) -> dict:
@@ -198,8 +172,7 @@ def _recover_payload(text: str, outcome: Outcome, ambient: int | None) -> dict:
         if warnings:
             payload["warnings"] = warnings
         if ambient is not None:
-            largest = pairs[0][0] if pairs else 0
-            payload["ambient"] = {"n": ambient, "ok": largest <= ambient}
+            payload["ambient"] = {"n": ambient, "ok": _fits_ambient(outcome, ambient)}
     else:
         payload = {
             "input": text,
@@ -217,88 +190,64 @@ def _recover_text_line(outcome: Outcome, ambient: int | None) -> str:
     if isinstance(outcome, Success):
         line = f"λ = {format_exponent_form(outcome.form)}"
         if ambient is not None:
-            largest = outcome.form.pairs[0][0] if outcome.form.pairs else 0
-            verdict = "ok" if largest <= ambient else "exceeded"
+            verdict = "ok" if _fits_ambient(outcome, ambient) else "exceeded"
             line += f"  [ambient n={ambient}: {verdict}]"
         return line
     return f"not a Hilbert polynomial: {outcome.reason.describe()}"
 
 
-def _print_side_channel(outcome: Outcome, args: argparse.Namespace) -> None:
+def _render(text: str, outcome: Outcome, args: argparse.Namespace, single: bool) -> str | None:
+    """The stdout line for one decided polynomial; ``check`` on an argument has none."""
+    if args.command == "check" and single:
+        return None
+    if args.format == "json":
+        return json.dumps(_recover_payload(text, outcome, args.ambient))
+    if args.command == "check":
+        return "hilbert" if isinstance(outcome, Success) else "not-hilbert"
+    return _recover_text_line(outcome, args.ambient)
+
+
+def _print_side_channel(outcome: Outcome, verbose: bool) -> None:
     # warnings and the verbose trace go to stderr so stdout stays parseable
-    if args.format != "text":
-        return
     if isinstance(outcome, Success):
         for warning in outcome.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-    if args.verbose and outcome.trace is not None:
+    if verbose and outcome.trace is not None:
         for step in outcome.trace:
             residual = ",".join(format_rational(value) for value in step.residual)
             print(f"trace: m={step.m} r={step.r} s={step.s} e={step.e} residual=({residual})", file=sys.stderr)
 
 
-def _batch(args: argparse.Namespace, render: Callable[[str, Outcome], str]) -> int:
+def _print_error(text: str, exc: Exception, args: argparse.Namespace, single: bool) -> None:
+    if not single:  # a stdin line's error takes that line's place on stdout
+        print(json.dumps({"input": text, "error": str(exc)}) if args.format == "json" else f"error: {exc}")
+        return
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, PolynomialSyntaxError):
+        print(f"  {text}", file=sys.stderr)
+        print("  " + " " * exc.position + "^", file=sys.stderr)
+
+
+def _cmd_decide(args: argparse.Namespace) -> int:
+    """``recover`` and ``check``: a polynomial argument is a batch of one."""
+    single = args.polynomial is not None
+    texts = [args.polynomial] if single else (line for line in map(str.strip, sys.stdin) if line)
     worst = 0
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line:
-            continue
+    for text in texts:
         try:
-            outcome = _run_engine(parse_polynomial(line), args)
-            print(render(line, outcome))
-        except Exception as exc:  # a parse error or a crash costs this line only
-            if args.format == "json":
-                print(json.dumps({"input": line, "error": str(exc)}))
-            else:
-                print(f"error: {exc}")
-            worst = max(worst, 2)
+            outcome = _run_engine(parse_polynomial(text), args)
+            shown = _render(text, outcome, args, single)
+        except Exception as exc:  # a parse error or a crash costs this polynomial only
+            _print_error(text, exc, args, single)
+            worst = 2
             continue
+        if shown is not None:
+            print(shown)
+        if args.command == "recover" and args.format == "text":
+            _print_side_channel(outcome, args.verbose)
         if not isinstance(outcome, Success):
             worst = max(worst, 1)
     return worst
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    if args.polynomial is None:
-
-        def render(line: str, outcome: Outcome) -> str:
-            if args.format == "json":
-                return json.dumps(_recover_payload(line, outcome, args.ambient))
-            return _recover_text_line(outcome, args.ambient)
-
-        return _batch(args, render)
-
-    try:
-        p = parse_polynomial(args.polynomial)
-    except PolynomialSyntaxError as exc:
-        _print_syntax_error(args.polynomial, exc)
-        return 2
-    outcome = _run_engine(p, args)
-    if args.format == "json":
-        print(json.dumps(_recover_payload(args.polynomial, outcome, args.ambient)))
-    else:
-        print(_recover_text_line(outcome, args.ambient))
-        _print_side_channel(outcome, args)
-    return 0 if isinstance(outcome, Success) else 1
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    if args.polynomial is None:
-
-        def render(line: str, outcome: Outcome) -> str:
-            if args.format == "json":
-                return json.dumps(_recover_payload(line, outcome, args.ambient))
-            return "hilbert" if isinstance(outcome, Success) else "not-hilbert"
-
-        return _batch(args, render)
-
-    try:
-        p = parse_polynomial(args.polynomial)
-    except PolynomialSyntaxError as exc:
-        _print_syntax_error(args.polynomial, exc)
-        return 2
-    outcome = _run_engine(p, args)
-    return 0 if isinstance(outcome, Success) else 1
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

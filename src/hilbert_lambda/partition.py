@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .calculus import binomial_seq_value, block_newton
 from .polynomial import Polynomial, from_newton
@@ -82,11 +82,6 @@ class ExponentForm:
             if previous is not None and value >= previous:
                 raise ValueError("values must be strictly decreasing")
             previous = value
-
-
-def validate_partition(raw: Iterable[int]) -> Partition:
-    """Check the non-increasing, >= 1 invariants and wrap ``raw`` up."""
-    return Partition(tuple(raw))
 
 
 def to_exponent_form(partition: Partition) -> ExponentForm:
@@ -243,7 +238,7 @@ def parse_partition(text: str) -> Partition:
             parts.extend([value] * multiplicity)
         else:
             parts.append(_parse_int(item))
-    return validate_partition(parts)
+    return Partition(tuple(parts))
 
 
 def _parse_int(text: str) -> int:

@@ -33,24 +33,6 @@ def test_sequence_requires_at_least_one_value():
         Sequence([])
 
 
-def test_sequence_effective_length_bounds():
-    values = [1, 2, 3]
-    with pytest.raises(ValueError):
-        Sequence(values, effective_length=0)
-    with pytest.raises(ValueError):
-        Sequence(values, effective_length=4)
-
-
-def test_sequence_window_ignores_slack():
-    s = Sequence([1, 2, 3, 4], effective_length=2)
-    assert s.window() == (Fraction(1), Fraction(2))
-    assert len(s) == 2
-    assert s == Sequence([1, 2])
-    assert hash(s) == hash(Sequence([1, 2]))
-    with pytest.raises(IndexError):
-        s[2]
-
-
 def test_delta_adjacent_differences():
     s = Sequence([18, 2, 8, 2, 11])
     assert delta(s).window() == (-16, 6, -6, 9)
@@ -59,8 +41,6 @@ def test_delta_adjacent_differences():
 def test_delta_needs_two_effective_values():
     with pytest.raises(LengthTooShortError):
         delta(Sequence([7]))
-    with pytest.raises(LengthTooShortError):
-        delta(Sequence([7, 8], effective_length=1))
 
 
 def test_delta_shortens_by_one():
@@ -91,7 +71,6 @@ def test_is_constant():
     assert is_constant(Sequence([5, 5, 5]))
     assert not is_constant(Sequence([5, 5, 6]))
     assert is_constant(Sequence([3]))
-    assert is_constant(Sequence([3, 9], effective_length=1))
 
 
 def test_reduce_constant_window():
@@ -160,4 +139,3 @@ def test_binomial_difference_drops_degree_by_one(d, x):
 def test_is_integer_sequence():
     assert is_integer_sequence(Sequence([1, -2, 0]))
     assert not is_integer_sequence(Sequence([1, Fraction(1, 2)]))
-    assert is_integer_sequence(Sequence([1, Fraction(1, 2)], effective_length=1))

@@ -36,6 +36,10 @@ def test_recover_parse_error_points_at_column(monkeypatch, capsys):
     assert lines[1] == "  x +"
     assert lines[2] == "     ^"
     assert lines[2].index("^") - 2 == 3
+    # a batch of one decides its argument even when blank; only stdin skips blank lines
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", ""])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: expected a term at column 0", "  ", "  ^"]
 
 
 def test_recover_json_success(monkeypatch, capsys):
@@ -163,6 +167,17 @@ def test_batch_recover_json_order_and_inputs(monkeypatch, capsys):
         validator.validate(doc)
 
 
+def test_batch_recover_text_prints_warnings_and_verbose_trace(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "--verbose"], stdin_text="0\n3*x+1\n")
+    assert code == 0
+    assert out.splitlines() == ["λ = ()", "λ = (2^3,1)"]
+    assert err.splitlines() == [
+        "warning: zero polynomial: empty partition by convention",
+        "trace: m=1 r=3 s=1 e=3 residual=(1,1)",
+        "trace: m=0 r=1 s=4 e=4 residual=(0,0)",
+    ]
+
+
 def test_batch_exit_code_aggregates_worst(monkeypatch, capsys):
     code, _, _ = run_cli(monkeypatch, capsys, ["recover"], stdin_text="3*x + 1\nx + 2\n")
     assert code == 0
@@ -226,6 +241,9 @@ def test_check_single_is_quiet(monkeypatch, capsys):
     assert (code, out) == (1, "")
     code, out, _ = run_cli(monkeypatch, capsys, ["check", "1/2*x"])
     assert (code, out) == (1, "")
+    # recover would warn about the zero polynomial; check prints nothing at all
+    code, out, err = run_cli(monkeypatch, capsys, ["check", "0"])
+    assert (code, out, err) == (0, "", "")
 
 
 def test_check_parse_error(monkeypatch, capsys):
@@ -327,6 +345,9 @@ def test_bench_json(monkeypatch, capsys):
         ["recover", "1", "--ambient", "0"],
         ["bench", "0"],
         ["build"],
+        ["build", "(2,1)", "--seed", "3"],
+        ["random", "2", "2", "--engine", "naive"],
+        ["bench", "1", "--ambient", "2"],
     ],
 )
 def test_usage_errors_exit_2(monkeypatch, capsys, argv):

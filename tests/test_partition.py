@@ -26,7 +26,6 @@ from hilbert_lambda.partition import (
     parse_partition,
     random_partition,
     to_exponent_form,
-    validate_partition,
 )
 from hilbert_lambda.polynomial import Polynomial, format_polynomial
 from support import falling_binom_coeffs
@@ -59,10 +58,6 @@ def test_partition_rejects_increasing_parts():
     with pytest.raises(NotNonIncreasingError) as info:
         Partition((5, 3, 4, 4))
     assert info.value.index == 2
-
-
-def test_validate_partition_wraps_any_iterable():
-    assert validate_partition([2, 1]).parts == (2, 1)
 
 
 def test_exponent_form_round_trip_examples():
