@@ -8,16 +8,20 @@ the first term):
     var    := "x" ("^" uint)?
     coeff  := int ("/" uint)?
     int    := "-"? uint
-    uint   := [0-9]+
+    uint   := decimal digits, as int() reads them (Unicode digits included)
 
 The trailing "/ uint" divides the whole term, so "x/2" and "x^2/3" are
 accepted alongside "1/2*x" and "3/2x^2".  Duplicate powers are summed.
-All literals are read exactly; no floating point is involved anywhere.
+Parsing takes one match of a compiled pattern per term; each term's
+coefficient is summed per power as an integer fraction, and one
+:class:`Fraction` is built per power at the end.  All literals are read
+exactly; no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -48,7 +52,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -162,6 +166,20 @@ def _power_text(power: int) -> str:
     return "x" if power == 1 else f"x^{power}"
 
 
+# One match per term.  Every token is its own optional group that takes
+# the whitespace after it, so a token whose successor is missing still
+# matches and the error is read off the groups, at the column where the
+# missing token should start.  ``term`` starts at the term's first token.
+_TERM = re.compile(
+    r"\s*(?:(?P<sign>[+-])\s*)?"
+    r"(?P<term>(?P<neg>-\s*)?"
+    r"(?:(?P<int>\d+)\s*(?:/\s*(?P<den>\d*)\s*)?)?"
+    r"(?P<star>\*\s*)?"
+    r"(?:(?P<x>x)\s*(?:\^\s*(?P<exp>\d*)\s*)?)?"
+    r"(?:/\s*(?P<div>\d*)\s*)?)"
+)
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse polynomial text into canonical coefficient form.
 
@@ -169,122 +187,50 @@ def parse_polynomial(text: str) -> Polynomial:
     malformed input and :class:`DenominatorZeroError` on a zero
     denominator.
     """
-    return _Parser(text).parse()
+    powers: dict[int, tuple[int, int]] = {}  # power -> (numerator, denominator)
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        sign, neg, digits, den, star, x, exp, div = m.group(
+            "sign", "neg", "int", "den", "star", "x", "exp", "div"
+        )
+        if pos and sign is None:  # every term but the first needs its sign
+            raise PolynomialSyntaxError(f"expected '+' or '-', found {text[pos]!r}", pos)
+        if not (neg or digits or x and not star):  # a term starts with '-', a digit or 'x'
+            at = m.start("term")
+            if at == len(text):
+                raise PolynomialSyntaxError("expected a term", at)
+            raise PolynomialSyntaxError(f"expected a term, found {text[at]!r}", at)
+        if neg and not digits:
+            raise PolynomialSyntaxError("expected digits", m.end("neg"))
+        numerator = int(digits) if digits else 1
+        if (sign == "-") != (neg is not None):  # one minus sign, not two
+            numerator = -numerator
+        denominator = 1 if den is None else _denominator(m, "den")
+        if star and not x:
+            raise PolynomialSyntaxError("expected 'x'", m.end("star"))
+        power = 0 if x is None else 1 if exp is None else _uint(m, "exp")
+        if div is not None:
+            denominator *= _denominator(m, "div")
+        total, common = powers.get(power, (0, 1))
+        powers[power] = (total * denominator + numerator * common, common * denominator)
+        pos = m.end()
+        if pos == len(text):
+            break
+    coeffs = [0] * (max(powers) + 1)
+    for power, (total, common) in powers.items():
+        coeffs[power] = Fraction(total, common)
+    return Polynomial(coeffs)
 
 
-class _Parser:
-    """Single-pass cursor parser for the grammar in the module docstring."""
+def _uint(m: re.Match, group: str) -> int:
+    if not m[group]:
+        raise PolynomialSyntaxError("expected digits", m.start(group))
+    return int(m[group])
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def parse(self) -> Polynomial:
-        powers: dict[int, Fraction] = {}
-        self._skip_ws()
-        if self._at_end():
-            raise PolynomialSyntaxError("expected a term", self.pos)
-        sign = 1
-        if self._peek() in "+-":
-            sign = -1 if self._peek() == "-" else 1
-            self.pos += 1
-        self._term(powers, sign)
-        while True:
-            self._skip_ws()
-            if self._at_end():
-                break
-            ch = self._peek()
-            if ch == "+":
-                sign = 1
-            elif ch == "-":
-                sign = -1
-            else:
-                raise PolynomialSyntaxError(f"expected '+' or '-', found {ch!r}", self.pos)
-            self.pos += 1
-            self._term(powers, sign)
-        coeffs = [Fraction(0)] * (max(powers) + 1 if powers else 0)
-        for power, value in powers.items():
-            coeffs[power] = value
-        return Polynomial(coeffs)
-
-    def _term(self, powers: dict[int, Fraction], sign: int) -> None:
-        self._skip_ws()
-        if self._at_end():
-            raise PolynomialSyntaxError("expected a term", self.pos)
-        ch = self._peek()
-        if ch.isdigit() or ch == "-":
-            coeff = self._coefficient()
-            power = 0
-            self._skip_ws()
-            if not self._at_end() and self._peek() == "*":
-                self.pos += 1
-                power = self._variable()  # '*' must be followed by the variable
-            elif not self._at_end() and self._peek() == "x":
-                power = self._variable()
-        elif ch == "x":
-            coeff = Fraction(1)
-            power = self._variable()
-        else:
-            raise PolynomialSyntaxError(f"expected a term, found {ch!r}", self.pos)
-        coeff /= self._divisor_opt()
-        powers[power] = powers.get(power, Fraction(0)) + sign * coeff
-
-    def _coefficient(self) -> Fraction:
-        negative = False
-        if self._peek() == "-":
-            negative = True
-            self.pos += 1
-            self._skip_ws()
-        value = Fraction(self._uint())
-        if negative:
-            value = -value
-        self._skip_ws()
-        if not self._at_end() and self._peek() == "/":
-            self.pos += 1
-            value /= self._denominator()
-        return value
-
-    def _variable(self) -> int:
-        self._skip_ws()
-        if self._at_end() or self._peek() != "x":
-            raise PolynomialSyntaxError("expected 'x'", self.pos)
-        self.pos += 1
-        self._skip_ws()
-        if not self._at_end() and self._peek() == "^":
-            self.pos += 1
-            return self._uint()
-        return 1
-
-    def _divisor_opt(self) -> Fraction:
-        self._skip_ws()
-        if not self._at_end() and self._peek() == "/":
-            self.pos += 1
-            return Fraction(self._denominator())
-        return Fraction(1)
-
-    def _denominator(self) -> int:
-        self._skip_ws()
-        position = self.pos
-        value = self._uint()
-        if value == 0:
-            raise DenominatorZeroError("denominator is zero", position)
-        return value
-
-    def _uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while not self._at_end() and self._peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise PolynomialSyntaxError("expected digits", start)
-        return int(self.text[start : self.pos])
-
-    def _skip_ws(self) -> None:
-        while not self._at_end() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def _peek(self) -> str:
-        return self.text[self.pos]
+def _denominator(m: re.Match, group: str) -> int:
+    value = _uint(m, group)
+    if value == 0:
+        raise DenominatorZeroError("denominator is zero", m.start(group))
+    return value

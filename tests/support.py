@@ -1,5 +1,6 @@
 """Shared test fixtures: partition enumeration, a provably non-Hilbert
-polynomial corpus, the recover JSON schema, and an in-process CLI runner.
+polynomial corpus, reference engines and parser, the recover JSON schema,
+and an in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hilbert_lambda import (
     subtract_block,
 )
 from hilbert_lambda.cli import main
+from hilbert_lambda.polynomial import DenominatorZeroError, PolynomialSyntaxError
 
 
 def all_partitions(max_part: int, max_len: int) -> Iterator[Partition]:
@@ -73,6 +75,133 @@ def window_recover(p: Polynomial) -> Outcome:
         trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=window.window()))
         start = end + 1
     return Success(ExponentForm(tuple(blocks)), trace=tuple(trace))
+
+
+def cursor_parse(text: str) -> Polynomial:
+    """Reference for ``parse_polynomial``: the single-pass cursor parser it
+    replaced, reading one character at a time.
+
+    One change from that parser: digits are tested with ``str.isdecimal``
+    instead of ``str.isdigit``, so a digit that ``int()`` rejects (``²``)
+    is a syntax error here too rather than a bare ``ValueError``.
+    """
+    return _CursorParser(text).parse()
+
+
+class _CursorParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def parse(self) -> Polynomial:
+        powers: dict[int, Fraction] = {}
+        self._skip_ws()
+        if self._at_end():
+            raise PolynomialSyntaxError("expected a term", self.pos)
+        sign = 1
+        if self._peek() in "+-":
+            sign = -1 if self._peek() == "-" else 1
+            self.pos += 1
+        self._term(powers, sign)
+        while True:
+            self._skip_ws()
+            if self._at_end():
+                break
+            ch = self._peek()
+            if ch == "+":
+                sign = 1
+            elif ch == "-":
+                sign = -1
+            else:
+                raise PolynomialSyntaxError(f"expected '+' or '-', found {ch!r}", self.pos)
+            self.pos += 1
+            self._term(powers, sign)
+        coeffs = [Fraction(0)] * (max(powers) + 1 if powers else 0)
+        for power, value in powers.items():
+            coeffs[power] = value
+        return Polynomial(coeffs)
+
+    def _term(self, powers: dict[int, Fraction], sign: int) -> None:
+        self._skip_ws()
+        if self._at_end():
+            raise PolynomialSyntaxError("expected a term", self.pos)
+        ch = self._peek()
+        if ch.isdecimal() or ch == "-":
+            coeff = self._coefficient()
+            power = 0
+            self._skip_ws()
+            if not self._at_end() and self._peek() == "*":
+                self.pos += 1
+                power = self._variable()  # '*' must be followed by the variable
+            elif not self._at_end() and self._peek() == "x":
+                power = self._variable()
+        elif ch == "x":
+            coeff = Fraction(1)
+            power = self._variable()
+        else:
+            raise PolynomialSyntaxError(f"expected a term, found {ch!r}", self.pos)
+        coeff /= self._divisor_opt()
+        powers[power] = powers.get(power, Fraction(0)) + sign * coeff
+
+    def _coefficient(self) -> Fraction:
+        negative = False
+        if self._peek() == "-":
+            negative = True
+            self.pos += 1
+            self._skip_ws()
+        value = Fraction(self._uint())
+        if negative:
+            value = -value
+        self._skip_ws()
+        if not self._at_end() and self._peek() == "/":
+            self.pos += 1
+            value /= self._denominator()
+        return value
+
+    def _variable(self) -> int:
+        self._skip_ws()
+        if self._at_end() or self._peek() != "x":
+            raise PolynomialSyntaxError("expected 'x'", self.pos)
+        self.pos += 1
+        self._skip_ws()
+        if not self._at_end() and self._peek() == "^":
+            self.pos += 1
+            return self._uint()
+        return 1
+
+    def _divisor_opt(self) -> Fraction:
+        self._skip_ws()
+        if not self._at_end() and self._peek() == "/":
+            self.pos += 1
+            return Fraction(self._denominator())
+        return Fraction(1)
+
+    def _denominator(self) -> int:
+        self._skip_ws()
+        position = self.pos
+        value = self._uint()
+        if value == 0:
+            raise DenominatorZeroError("denominator is zero", position)
+        return value
+
+    def _uint(self) -> int:
+        self._skip_ws()
+        start = self.pos
+        while not self._at_end() and self._peek().isdecimal():
+            self.pos += 1
+        if start == self.pos:
+            raise PolynomialSyntaxError("expected digits", start)
+        return int(self.text[start : self.pos])
+
+    def _skip_ws(self) -> None:
+        while not self._at_end() and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _at_end(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def _peek(self) -> str:
+        return self.text[self.pos]
 
 
 def negative_lead_poly(rng) -> Polynomial:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from hilbert_lambda.polynomial import (
     parse_polynomial,
     sample_points,
 )
+from hilbert_lambda import build_hilbert
+from support import cursor_parse
 
 coefficients = st.lists(
     st.fractions(min_value=-100, max_value=100, max_denominator=30),
@@ -138,6 +142,13 @@ def test_parse_equivalent_spellings():
         ("x^-2", 2),
         ("x 2", 2),
         ("3x 4", 3),
+        ("/x", 0),
+        ("3/", 2),
+        ("3 * y", 4),
+        ("x^ ", 3),
+        ("2 - -x", 5),
+        ("x^²", 2),  # a digit that int() rejects is no digit
+        ("3²", 1),
     ],
 )
 def test_parse_errors_carry_position(text, position):
@@ -147,13 +158,80 @@ def test_parse_errors_carry_position(text, position):
     assert f"at column {position}" in str(info.value)
 
 
-@pytest.mark.parametrize("text", ["1/0", "x/0", "1/2*x/0", "3/0*x"])
+@pytest.mark.parametrize("text", ["1/0", "x/0", "1/2*x/0", "3/0*x", "x/ 0"])
 def test_zero_denominator_is_its_own_error(text):
-    with pytest.raises(DenominatorZeroError):
+    with pytest.raises(DenominatorZeroError) as info:
         parse_polynomial(text)
+    assert info.value.position == text.index("0")
 
 
 @given(coefficients)
 def test_format_parse_round_trip(coeffs):
     p = Polynomial(coeffs)
     assert parse_polynomial(format_polynomial(p)) == p
+
+
+_DIGITS = "0123456789"
+# the grammar's alphabet, plus a letter, a non-ASCII decimal digit, a digit
+# that is not decimal and a non-ASCII space
+_CHARS = _DIGITS + "x^*/+-" + " \t" + "y٣²\u00a0"
+
+
+def _random_text(rng: random.Random) -> str:
+    """A free string over ``_CHARS`` or a string shaped like the grammar,
+    with random gaps and now and then a stray character."""
+    if rng.random() < 0.4:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 12)))
+
+    def digits() -> str:
+        return "".join(rng.choice(_DIGITS + "٣") for _ in range(rng.randint(1, 3)))
+
+    pieces: list[str] = []
+    for index in range(rng.randint(1, 4)):
+        if index or rng.random() < 0.3:
+            pieces.append(rng.choice("+-"))
+        if rng.random() < 0.15:
+            pieces.append("-")
+        if rng.random() < 0.7:
+            pieces.append(digits())
+            if rng.random() < 0.3:
+                pieces += ["/", digits()]
+        if rng.random() < 0.3:
+            pieces.append("*")
+        if rng.random() < 0.6:
+            pieces.append("x")
+            if rng.random() < 0.5:
+                pieces += ["^", digits()]
+        if rng.random() < 0.2:
+            pieces += ["/", digits()]
+    if pieces and rng.random() < 0.3:
+        del pieces[rng.randrange(len(pieces))]
+    if rng.random() < 0.3:
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(_CHARS))
+    return "".join(piece + rng.choice(["", "", " ", "\t", "  "]) for piece in pieces)
+
+
+def _parsed(parse, text: str):
+    try:
+        return parse(text)
+    except PolynomialSyntaxError as error:
+        return type(error), error.message, error.position
+
+
+def test_parser_agrees_with_cursor_reference(partitions_923, rejection_200):
+    texts = [format_polynomial(build_hilbert(lam)) for lam in partitions_923]
+    texts += [format_polynomial(p) for p in rejection_200]
+    texts += [f"x^{n}" for n in range(8, 15)] + [f"9*x^{n}" for n in range(5, 12)]
+    rng = random.Random(20261018)
+    while len(texts) < 21_000:
+        text = _random_text(rng)
+        # numbers of at most 3 digits: both parsers allocate a coefficient
+        # list as long as the largest exponent
+        if not re.search(r"\d{4}", text):
+            texts.append(text)
+    outcomes = {"value": 0, "error": 0}
+    for text in texts:
+        expected = _parsed(cursor_parse, text)
+        assert _parsed(parse_polynomial, text) == expected, text
+        outcomes["value" if isinstance(expected, Polynomial) else "error"] += 1
+    assert min(outcomes.values()) > 3_000  # both paths are well exercised
