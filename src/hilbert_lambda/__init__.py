@@ -9,8 +9,9 @@ binomials read as polynomials in x.  ``recover_delta`` inverts the map
 on the integer coefficients a_k = Δ^k p(0) of p in the basis C(x, k):
 p is integer-valued exactly when every a_k is an integer, and each round
 peels the block of equal parts read off the top nonzero a_k.
-``build_hilbert`` adds the same block coefficients.  ``recover_naive``
-inverts the map by bounded enumeration and serves as a cross-check oracle.
+``build_hilbert`` peels the same blocks off zeros and negates the sum.
+``recover_naive`` inverts the map by bounded enumeration and serves as a
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .calculus import (
     Sequence,
     binomial_seq_value,
     delta,
-    is_constant,
     is_integer_sequence,
     reduce,
 )
@@ -59,7 +59,6 @@ from .recovery import (
     SearchExhausted,
     Success,
     TraceStep,
-    compare_candidate,
     recover_delta,
     recover_naive,
     subtract_block,
@@ -88,7 +87,6 @@ __all__ = [
     "TraceStep",
     "binomial_seq_value",
     "build_hilbert",
-    "compare_candidate",
     "count_non_incr_seqs",
     "delta",
     "format_exponent_form",
@@ -97,7 +95,6 @@ __all__ = [
     "format_rational",
     "from_exponent_form",
     "hilbert_value_at",
-    "is_constant",
     "is_integer_sequence",
     "non_incr_seqs",
     "parse_partition",

@@ -1,8 +1,8 @@
 """Exact discrete-derivative machinery and the binomial-basis blocks.
 
 The engines hold a polynomial as its integer coefficients a_k = Δ^k p(0)
-in the basis C(x, k); :func:`block_newton` gives the coefficients of one
-block of equal parts in that basis, in O(v) integer operations.
+in the basis C(x, k); :func:`peel_block` subtracts one block of equal
+parts from them in place, in O(v) integer operations.
 :class:`Sequence`, :func:`delta` and :func:`reduce` difference a finite
 window of samples f(0), ..., f(k-1) directly: the reference route to the
 same degrees and leading coefficients, kept for tests and demos.
@@ -70,15 +70,6 @@ def delta(f: Sequence) -> Sequence:
     return Sequence(w[i + 1] - w[i] for i in range(len(w) - 1))
 
 
-def is_constant(f: Sequence) -> bool:
-    """True iff every value in the window equals the first.
-
-    A size-1 window counts as constant.
-    """
-    w = f.window()
-    return all(v == w[0] for v in w[1:])
-
-
 def reduce(f: Sequence) -> tuple[int, Fraction]:
     """Difference ``f`` until the window becomes constant.
 
@@ -127,22 +118,21 @@ def binomial_seq_value(d: int, x: int) -> int:
     return quotient
 
 
-def block_newton(v: int, start: int, end: int) -> list[int]:
-    """Coefficients of C(x, 0..v-1) in the block sum over i in [start, end]
-    of C(x + v - i, v - 1).  It telescopes (Pascal) to C(x + v - start + 1, v)
-    - C(x + v - end, v), and Vandermonde, C(x + c, v) = sum over j of
-    C(c, v - j) C(x, j), expands both: O(v) integer operations for any span.
+def peel_block(a: list[int], v: int, start: int, end: int) -> None:
+    """Subtract from ``a`` the coefficients of C(x, 0..v-1) in the block sum
+    over i in [start, end] of C(x + v - i, v - 1), in place.  The sum
+    telescopes (Pascal) to C(x + v - start + 1, v) - C(x + v - end, v), and
+    Vandermonde, C(x + c, v) = sum over k of C(c, k) C(x, v - k), expands
+    both: one walk of the two chains C(c, 1..v), O(v) integer operations for
+    any span.  An empty span (end == start - 1) subtracts nothing.
     """
-    upper, lower = _binomials(v - start + 1, v), _binomials(v - end, v)
-    return [upper[v - j] - lower[v - j] for j in range(v)]
-
-
-def _binomials(c: int, v: int) -> list[int]:
-    # C(c, 0..v) for any integer c; exact, as b * (c - k) = (k + 1) * C(c, k + 1)
-    out = [1]
+    upper = lower = 1
+    top, bottom = v - start + 1, v - end
     for k in range(v):
-        out.append(out[-1] * (c - k) // (k + 1))
-    return out
+        # exact: C(c, k) * (c - k) == (k + 1) * C(c, k + 1), for any integer c
+        upper = upper * (top - k) // (k + 1)
+        lower = lower * (bottom - k) // (k + 1)
+        a[v - 1 - k] -= upper - lower
 
 
 def is_integer_sequence(f: Sequence) -> bool:

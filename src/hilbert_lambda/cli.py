@@ -133,10 +133,10 @@ def run() -> None:
     raise SystemExit(main(sys.argv[1:]))
 
 
-def _run_engine(p: Polynomial, args: argparse.Namespace) -> Outcome:
+def _run_engine(p: Polynomial, args: argparse.Namespace, want_trace: bool) -> Outcome:
     if args.engine == "naive":
         return recover_naive(p, args.r_max)
-    return recover_delta(p, want_trace=args.verbose)
+    return recover_delta(p, want_trace=want_trace)
 
 
 # ceiling on the expanded part count before lambda_flat is suppressed;
@@ -232,10 +232,12 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     """``recover`` and ``check``: a polynomial argument is a batch of one."""
     single = args.polynomial is not None
     texts = [args.polynomial] if single else (line for line in map(str.strip, sys.stdin) if line)
+    # recover prints the trace; check carries it only on its JSON batch lines
+    want_trace = args.verbose and (args.command == "recover" or (args.format == "json" and not single))
     worst = 0
     for text in texts:
         try:
-            outcome = _run_engine(parse_polynomial(text), args)
+            outcome = _run_engine(parse_polynomial(text), args, want_trace)
             shown = _render(text, outcome, args, single)
         except Exception as exc:  # a parse error or a crash costs this polynomial only
             _print_error(text, exc, args, single)

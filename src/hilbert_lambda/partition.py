@@ -8,7 +8,8 @@ with the binomials read as polynomials in x.  Exactly the polynomials of
 this shape are Hilbert polynomials, and the generating partition is
 unique; the recovery engines in :mod:`hilbert_lambda.recovery` invert the
 construction.  Both directions share integer coefficients in the basis
-C(x, k) (:func:`hilbert_lambda.calculus.block_newton`).
+C(x, k) and the in-place block peel
+(:func:`hilbert_lambda.calculus.peel_block`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .calculus import binomial_seq_value, block_newton
+from .calculus import binomial_seq_value, peel_block
 from .polynomial import Polynomial, from_newton
 
 
@@ -108,18 +109,18 @@ def build_hilbert(partition: Partition) -> Polynomial:
 
     The i-th part a_i (1-based) contributes a term of degree a_i - 1, so
     a non-empty partition yields degree a_1 - 1; the empty partition
-    yields the zero polynomial.  Each run of equal parts adds its block in
-    the basis C(x, k) in O(value) integer operations, whatever its size.
+    yields the zero polynomial.  Each run of equal parts is peeled off
+    zeros in the basis C(x, k) in O(value) integer operations, whatever its
+    size, and the sum is negated once at the end.
     """
     pairs = to_exponent_form(partition).pairs
     a = [0] * (pairs[0][0] if pairs else 0)
     start = 1
     for value, multiplicity in pairs:
         end = start + multiplicity - 1
-        for j, b in enumerate(block_newton(value, start, end)):
-            a[j] += b
+        peel_block(a, value, start, end)
         start = end + 1
-    return from_newton(a)
+    return from_newton([-b for b in a])
 
 
 def hilbert_value_at(partition: Partition, x: int) -> int:

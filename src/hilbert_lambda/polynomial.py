@@ -100,18 +100,24 @@ def sample_points(p: Polynomial, n: int) -> Sequence:
 
 def newton_coeffs(p: Polynomial) -> tuple[int, list[int]]:
     """``(L, [L*a_0, ..., L*a_n])``: ``L`` the lcm of p's denominators and
-    ``a_k = Δ^k p(0)`` the coefficient of C(x, k) in p.  ``L*p`` is sampled
-    at 0..n by Horner and differenced in place, all in integers.  p is
-    integer-valued exactly when ``L`` divides every entry (Pólya 1915)."""
+    ``a_k = Δ^k p(0)`` the coefficient of C(x, k) in p.  Synthetic division
+    of ``L*p`` by x, x - 1, ..., x - n + 1 leaves remainders b_k with
+    ``L*p = sum over k of b_k x(x-1)...(x-k+1)``, so ``L*a_k = k! b_k``; all in
+    integers.  p is integer-valued exactly when ``L`` divides every entry
+    (Pólya 1915)."""
     scale = math.lcm(*(c.denominator for c in p.coeffs))
-    table = [0] * len(p.coeffs)
-    for coeff in reversed(p.coeffs):
-        c = coeff.numerator * (scale // coeff.denominator)
-        table = [value * x + c for x, value in enumerate(table)]
-    for k in range(1, len(table)):
-        for i in range(len(table) - 1, k - 1, -1):
-            table[i] -= table[i - 1]
-    return scale, table
+    c = [coeff.numerator * (scale // coeff.denominator) for coeff in p.coeffs]
+    n = len(c) - 1
+    factorial = 1
+    for k in range(1, n + 1):
+        # c[k..n] is the quotient so far, lowest power first (by x it is just
+        # c[1..n]); dividing it by x - k in place leaves b_k in c[k]
+        s = c[n]
+        for i in range(n - 1, k - 1, -1):
+            s = c[i] = c[i] + k * s
+        factorial *= k
+        c[k] *= factorial
+    return scale, c
 
 
 def from_newton(a: list[int]) -> Polynomial:

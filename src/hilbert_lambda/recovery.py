@@ -2,11 +2,12 @@
 
 ``recover_delta`` holds the residual as its integer coefficients
 a_k = Δ^k p(0) in the basis C(x, k): each round's block of equal parts,
-degree m and multiplicity r, is the top nonzero a_m and is subtracted in
-O(m) integer operations, so a decision costs O(n^2) of them; the loop
-ends when every a_k is zero.  ``recover_naive`` searches candidate
-partitions in descending lexicographic order and compares values on
-enough sample points to pin the polynomial down.  Both return
+degree m and multiplicity r, is the top nonzero a_m and is peeled off in
+place (:func:`hilbert_lambda.calculus.peel_block`) in O(m) integer
+operations, so a decision costs O(n^2) of them; the loop ends when every
+a_k is zero.  ``recover_naive`` searches candidate partitions in
+descending lexicographic order and compares values on enough sample
+points to pin the polynomial down.  Both return
 ``Success`` with the partition or ``NotHilbert`` with a structured reason.
 
 Success carries the partition in run-length form.  Innocent-looking
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .calculus import Sequence, binomial_seq_value, block_newton, is_integer_sequence
+from .calculus import Sequence, binomial_seq_value, is_integer_sequence, peel_block
 from .calculus import reduce  # noqa: F401  kept as recovery.reduce, which perfbench/worker.py traces
 from .partition import (
     ExponentForm,
@@ -30,7 +32,7 @@ from .partition import (
     non_incr_seqs,
     to_exponent_form,
 )
-from .polynomial import Polynomial, from_newton, newton_coeffs, sample_points
+from .polynomial import Polynomial, newton_coeffs, sample_points
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,8 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
     coefficients a_k of C(x, k), which exist exactly when p is
     integer-valued, so the up-front check is exact.  Each round's block is
     the top nonzero a_m; removing it costs O(m) integer operations, the
-    decision O(n^2).  Trace residuals p(0..n) are rebuilt only on request.
+    decision O(n^2).  Trace residuals p(0..n) are rebuilt, on request only,
+    from the coefficients by prefix sums.
     """
     n = p.degree()
     if n is None:
@@ -157,21 +160,22 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
                 trace=tuple(trace) if want_trace else None,
             )
         end = start + r - 1
-        for j, b in enumerate(block_newton(m + 1, start, end)):
-            a[j] -= b
+        peel_block(a, m + 1, start, end)
         blocks.append((m + 1, r))
         if want_trace:
-            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=sample_points(from_newton(a), n).window()))
+            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=_residual_window(a)))
         start = end + 1
     raise RuntimeError("block extraction failed to terminate within degree + 2 rounds")
 
 
-def compare_candidate(candidate: Partition, p_data: Sequence) -> bool:
-    """True when the candidate's polynomial matches every window value."""
-    for x, value in enumerate(p_data):
-        if hilbert_value_at(candidate, x) != value:
-            return False
-    return True
+def _residual_window(a: list[int]) -> tuple[Fraction, ...]:
+    # p(0..n) from p's coefficients a_k of C(x, k): undo the differencing
+    # that gives a_k = Δ^k p(0), one prefix-sum pass per order
+    t = list(a)
+    for k in range(len(t) - 2, -1, -1):
+        for i in range(k + 1, len(t)):
+            t[i] += t[i - 1]
+    return tuple(map(Fraction, t))
 
 
 def recover_naive(p: Polynomial, r_max: int) -> Outcome:
@@ -192,12 +196,9 @@ def recover_naive(p: Polynomial, r_max: int) -> Outcome:
     if not is_integer_sequence(window):
         return NotHilbert(NonIntegerValued())
     first = n + 1
-    candidate = Partition((first,))
-    if compare_candidate(candidate, window):
-        return Success(to_exponent_form(candidate))
-    for tail_length in range(1, r_max):
-        for tail in non_incr_seqs(tail_length, first):
-            candidate = Partition((first,) + tail)
-            if compare_candidate(candidate, window):
-                return Success(to_exponent_form(candidate))
+    tails = chain([()], *(non_incr_seqs(length, first) for length in range(1, r_max)))
+    for tail in tails:
+        candidate = Partition((first,) + tail)
+        if all(hilbert_value_at(candidate, x) == value for x, value in enumerate(window)):
+            return Success(to_exponent_form(candidate))
     return NotHilbert(SearchExhausted(r_max))

@@ -13,8 +13,8 @@ from hilbert_lambda.calculus import (
     Sequence,
     binomial_seq_value,
     delta,
-    is_constant,
     is_integer_sequence,
+    peel_block,
     reduce,
 )
 from hilbert_lambda.polynomial import Polynomial, sample_points
@@ -65,12 +65,6 @@ def test_delta_is_linear(pairs, a, b):
     combined = Sequence(a * u + b * v for u, v in pairs)
     expected = tuple(a * u + b * v for u, v in zip(delta(f), delta(g)))
     assert delta(combined).window() == expected
-
-
-def test_is_constant():
-    assert is_constant(Sequence([5, 5, 5]))
-    assert not is_constant(Sequence([5, 5, 6]))
-    assert is_constant(Sequence([3]))
 
 
 def test_reduce_constant_window():
@@ -139,3 +133,42 @@ def test_binomial_difference_drops_degree_by_one(d, x):
 def test_is_integer_sequence():
     assert is_integer_sequence(Sequence([1, -2, 0]))
     assert not is_integer_sequence(Sequence([1, Fraction(1, 2)]))
+
+
+def _newton_of_values(values: list[int]) -> list[int]:
+    # Δ^k f(0) for k = 0..len - 1, by differencing the integer samples
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def test_peel_block_subtracts_the_term_by_term_block():
+    rng = random.Random(17)
+    cases = [(1, 1, 1), (1, 3, 9), (4, 3, 2), (1, 5, 4)]  # v = 1 and empty spans
+    for _ in range(60):
+        v, start = rng.randint(1, 25), rng.randint(1, 40)
+        cases.append((v, start, start + rng.randint(-1, 30)))
+    for v, start, end in cases:
+        block = [
+            sum(binomial_seq_value(v - 1, x + v - i) for i in range(start, end + 1))
+            for x in range(v)
+        ]
+        before = [rng.randint(-1000, 1000) for _ in range(v)]
+        after = list(before)
+        peel_block(after, v, start, end)
+        assert [b - a for a, b in zip(after, before)] == _newton_of_values(block), (v, start, end)
+
+
+def test_peel_block_spans_astronomically_many_parts():
+    # too many terms to sum, so check against the telescoped pair instead
+    for v, start in ((1, 1), (6, 3), (30, 1)):
+        end = start + 10**50
+        pair = [
+            binomial_seq_value(v, x + v - start + 1) - binomial_seq_value(v, x + v - end) for x in range(v)
+        ]
+        a = [0] * v
+        peel_block(a, v, start, end)
+        assert [-value for value in a] == _newton_of_values(pair)
+        assert a[-1] == -(10**50 + 1)  # the top coefficient counts the parts

@@ -7,8 +7,10 @@ import sys
 import pytest
 from jsonschema import Draft202012Validator
 
+import hilbert_lambda.cli as cli
 from hilbert_lambda.partition import build_hilbert, format_partition
 from hilbert_lambda.polynomial import format_polynomial
+from hilbert_lambda.recovery import recover_delta
 from support import RECOVER_SCHEMA, run_cli
 
 validator = Draft202012Validator(RECOVER_SCHEMA)
@@ -256,6 +258,29 @@ def test_check_batch_prints_verdicts(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["check"], stdin_text="3*x + 1\nx/2\n")
     assert code == 1
     assert out.splitlines() == ["hilbert", "not-hilbert"]
+
+
+def test_check_requests_the_trace_only_where_it_is_printed(monkeypatch, capsys):
+    requested = []
+
+    def spy(p, *, want_trace=False):
+        requested.append(want_trace)
+        return recover_delta(p, want_trace=want_trace)
+
+    monkeypatch.setattr(cli, "recover_delta", spy)
+    for text, expected in (("3*x + 1", 0), ("x", 1)):
+        quiet = run_cli(monkeypatch, capsys, ["check", text])
+        assert run_cli(monkeypatch, capsys, ["check", text, "--verbose"]) == quiet
+        assert quiet[0] == expected
+    code, out, _ = run_cli(monkeypatch, capsys, ["check", "--verbose"], stdin_text="3*x + 1\n")
+    assert (code, out) == (0, "hilbert\n")
+    assert requested == [False] * 5
+    # a JSON batch line carries the trace, so there it is still requested
+    argv = ["check", "--verbose", "--format", "json"]
+    code, out, _ = run_cli(monkeypatch, capsys, argv, stdin_text="3*x + 1\n")
+    assert code == 0
+    assert json.loads(out)["trace"] == [{"m": 1, "r": 3, "s": 1, "e": 3}, {"m": 0, "r": 1, "s": 4, "e": 4}]
+    assert requested[-1] is True
 
 
 def test_build_text(monkeypatch, capsys):

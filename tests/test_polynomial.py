@@ -14,10 +14,13 @@ from hilbert_lambda.polynomial import (
     PolynomialSyntaxError,
     format_polynomial,
     format_rational,
+    from_newton,
+    newton_coeffs,
     parse_polynomial,
     sample_points,
 )
 from hilbert_lambda import build_hilbert
+from hilbert_lambda.calculus import delta, is_integer_sequence
 from support import cursor_parse
 
 coefficients = st.lists(
@@ -72,6 +75,37 @@ def test_sample_points_prefix():
 def test_sample_points_rejects_negative_count():
     with pytest.raises(ValueError):
         sample_points(Polynomial([1]), -1)
+
+
+def _newton_test_polynomials() -> list[Polynomial]:
+    rng = random.Random(61)
+    polys = []
+    for i in range(300):
+        family = i % 3
+        d = 120 if i < 3 else 60 if i < 6 else rng.randint(0, 24)  # each family reaches 120
+        if family == 2:  # rational coefficients, mostly not integer-valued
+            coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(d)]
+            polys.append(Polynomial(coeffs + [Fraction(rng.randint(1, 99), rng.randint(1, 30))]))
+            continue
+        a = [rng.randint(-10**6, 10**6) for _ in range(d)] + [rng.randint(1, 10**6)]
+        if family == 1:  # negative lead
+            a[-1] = -a[-1]
+        polys.append(from_newton(a))
+    return polys
+
+
+def test_newton_coeffs_are_differences_of_samples():
+    for p in _newton_test_polynomials():
+        scale, table = newton_coeffs(p)
+        n = p.degree()
+        window = sample_points(p, n)
+        expected = [window[0]]
+        for _ in range(n):
+            window = delta(window)
+            expected.append(window[0])
+        assert [Fraction(value, scale) for value in table] == expected, p
+        # Pólya: every entry is a multiple of L exactly when p is integer-valued
+        assert all(value % scale == 0 for value in table) == is_integer_sequence(sample_points(p, n)), p
 
 
 def test_format_rational():

@@ -22,7 +22,6 @@ from hilbert_lambda.recovery import (
     NotHilbert,
     SearchExhausted,
     Success,
-    compare_candidate,
     recover_delta,
     recover_naive,
     subtract_block,
@@ -223,12 +222,6 @@ def test_recover_delta_staircase_needs_every_round():
     # one block per degree exercises the maximum number of extraction rounds
     lam = Partition((5, 4, 3, 2, 1))
     assert recover_delta(build_hilbert(lam)) == Success(to_exponent_form(lam))
-
-
-def test_compare_candidate():
-    window = sample_points(build_hilbert(Partition((2, 1))), 1)
-    assert compare_candidate(Partition((2, 1)), window)
-    assert not compare_candidate(Partition((2, 2)), window)
 
 
 def test_recover_naive_known_partition():
