@@ -2,10 +2,10 @@
 
 Subcommands: ``recover`` (polynomial -> partition or rejection),
 ``check`` (exit code only), ``build`` (partition -> polynomial),
-``random`` (seeded instance generation), ``bench`` (delta vs naive
-timing).  ``recover`` and ``check`` read one polynomial per stdin line
-when the positional argument is omitted and emit one result line each,
-in input order; a polynomial argument is decided as a batch of one.
+``random`` (seeded instance generation).  ``recover`` and ``check`` read
+one polynomial per stdin line when the positional argument is omitted and
+emit one result line each, in input order; a polynomial argument is
+decided as a batch of one.
 
 Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage, parse or other
 error.  Batch mode reports errors per line and exits with the worst code.
@@ -17,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-import time
 from typing import Callable
 
 from .partition import (
@@ -39,7 +38,7 @@ from .polynomial import (
     format_rational,
     parse_polynomial,
 )
-from .recovery import Outcome, Success, recover_delta, recover_naive
+from .recovery import Outcome, Success, recover_delta
 
 
 def _positive_int(text: str) -> int:
@@ -50,13 +49,6 @@ def _positive_int(text: str) -> int:
 
 
 _OPTIONS = {
-    "--engine": {"choices": ("delta", "naive"), "default": "delta", "help": "recovery engine (default: delta)"},
-    "--r-max": {
-        "type": _positive_int,
-        "default": 10,
-        "metavar": "K",
-        "help": "partition-length bound for the naive engine (default: 10)",
-    },
     "--ambient": {
         "type": _positive_int,
         "default": None,
@@ -67,7 +59,7 @@ _OPTIONS = {
     "--format": {"choices": ("text", "json"), "default": "text", "help": "output format (default: text)"},
     "--seed": {"type": int, "default": None, "metavar": "S", "help": "random seed (default: unseeded)"},
 }
-_DECIDE_OPTIONS = ("--engine", "--r-max", "--ambient", "--format", "--verbose")
+_DECIDE_OPTIONS = ("--ambient", "--format", "--verbose")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,15 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rand.add_argument("max_part", type=_positive_int, help="largest allowed part")
     rand.add_argument("max_len", type=_positive_int, help="largest allowed number of parts")
-    bench = add(
-        "bench",
-        _cmd_bench,
-        ("--format",),
-        "time both engines on the staircase partition (degree+1, degree, ..., 1);"
-        " the naive half grows about 3x per degree",
-    )
-    bench.add_argument("degree", type=_positive_int, help="degree of the benchmark polynomial")
-    bench.add_argument("reps", type=_positive_int, nargs="?", default=5, help="timed repetitions (default: 5)")
     return parser
 
 
@@ -131,12 +114,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main(sys.argv[1:]))
-
-
-def _run_engine(p: Polynomial, args: argparse.Namespace, want_trace: bool) -> Outcome:
-    if args.engine == "naive":
-        return recover_naive(p, args.r_max)
-    return recover_delta(p, want_trace=want_trace)
 
 
 # ceiling on the expanded part count before lambda_flat is suppressed;
@@ -237,7 +214,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     worst = 0
     for text in texts:
         try:
-            outcome = _run_engine(parse_polynomial(text), args, want_trace)
+            outcome = recover_delta(parse_polynomial(text), want_trace=want_trace)
             shown = _render(text, outcome, args, single)
         except Exception as exc:  # a parse error or a crash costs this polynomial only
             _print_error(text, exc, args, single)
@@ -252,6 +229,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return worst
 
 
+def _partition_payload(partition: Partition, p: Polynomial) -> dict:
+    """The JSON keys ``build`` and ``random`` share."""
+    return {
+        "lambda_flat": list(partition.parts),
+        "lambda_exp": [[value, mult] for value, mult in to_exponent_form(partition).pairs],
+        "polynomial": format_polynomial(p),
+    }
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     try:
         partition = parse_partition(args.partition)
@@ -260,14 +246,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         return 2
     p = build_hilbert(partition)
     if args.format == "json":
-        payload = {
-            "input": args.partition,
-            "lambda_flat": list(partition.parts),
-            "lambda_exp": [[value, mult] for value, mult in to_exponent_form(partition).pairs],
-            "polynomial": format_polynomial(p),
-            "coeffs": [format_rational(c) for c in p.coeffs],
-        }
-        print(json.dumps(payload))
+        coeffs = [format_rational(c) for c in p.coeffs]
+        print(json.dumps({"input": args.partition, **_partition_payload(partition, p), "coeffs": coeffs}))
     else:
         print(format_polynomial(p))
     return 0
@@ -278,57 +258,9 @@ def _cmd_random(args: argparse.Namespace) -> int:
     partition = random_partition(args.max_part, args.max_len, rng)
     p = build_hilbert(partition)
     if args.format == "json":
-        payload = {
-            "lambda_flat": list(partition.parts),
-            "lambda_exp": [[value, mult] for value, mult in to_exponent_form(partition).pairs],
-            "polynomial": format_polynomial(p),
-        }
-        print(json.dumps(payload))
+        print(json.dumps(_partition_payload(partition, p)))
     else:
         print(f"λ = {format_partition(partition)}")
         print(f"p = {format_polynomial(p)}")
     return 0
 
-
-def _time_engine(runner: Callable[[], Outcome], reps: int) -> tuple[float, Outcome]:
-    outcome = runner()  # warmup, and the value every timed run must reproduce
-    total = 0.0
-    for _ in range(reps):
-        began = time.perf_counter()
-        repeat = runner()
-        total += time.perf_counter() - began
-        if repeat != outcome:
-            raise RuntimeError("engine returned different results across repetitions")
-    return total / reps, outcome
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    staircase = Partition(tuple(range(args.degree + 1, 0, -1)))
-    p = build_hilbert(staircase)
-    r_max = args.degree + 1
-    delta_mean, delta_outcome = _time_engine(lambda: recover_delta(p), args.reps)
-    naive_mean, naive_outcome = _time_engine(lambda: recover_naive(p, r_max), args.reps)
-    if not (
-        isinstance(delta_outcome, Success)
-        and isinstance(naive_outcome, Success)
-        and delta_outcome.form == naive_outcome.form == to_exponent_form(staircase)
-    ):
-        raise RuntimeError("engines disagree on the benchmark partition")
-    ratio = naive_mean / delta_mean if delta_mean > 0 else float("inf")
-    if args.format == "json":
-        payload = {
-            "lambda_flat": list(staircase.parts),
-            "polynomial": format_polynomial(p),
-            "reps": args.reps,
-            "delta_mean_s": delta_mean,
-            "naive_mean_s": naive_mean,
-            "ratio_naive_over_delta": ratio,
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"λ = {format_partition(staircase)}")
-        print(f"p = {format_polynomial(p)}")
-        print(f"delta: mean {delta_mean:.6f} s over {args.reps} reps")
-        print(f"naive: mean {naive_mean:.6f} s over {args.reps} reps (r_max={r_max})")
-        print(f"ratio naive/delta = {ratio:.2f}")
-    return 0
