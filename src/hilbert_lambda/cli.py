@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``recover`` (polynomial -> partition or rejection),
-``check`` (exit code only), ``build`` (partition -> polynomial),
+``check`` (verdict only, no options), ``build`` (partition -> polynomial),
 ``random`` (seeded instance generation).  ``recover`` and ``check`` read
 one polynomial per stdin line when the positional argument is omitted and
 emit one result line each, in input order; a polynomial argument is
@@ -20,10 +20,7 @@ import sys
 from typing import Callable
 
 from .partition import (
-    NonPositivePartError,
-    NotNonIncreasingError,
     Partition,
-    PartitionSyntaxError,
     build_hilbert,
     format_exponent_form,
     format_partition,
@@ -59,7 +56,6 @@ _OPTIONS = {
     "--format": {"choices": ("text", "json"), "default": "text", "help": "output format (default: text)"},
     "--seed": {"type": int, "default": None, "metavar": "S", "help": "random seed (default: unseeded)"},
 }
-_DECIDE_OPTIONS = ("--ambient", "--format", "--verbose")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,16 +74,18 @@ def _build_parser() -> argparse.ArgumentParser:
         return sub
 
     recover = add(
-        "recover", _cmd_decide, _DECIDE_OPTIONS, "recover the partition from a polynomial (stdin batch when omitted)"
+        "recover",
+        _cmd_decide,
+        ("--ambient", "--format", "--verbose"),
+        "recover the partition from a polynomial (stdin batch when omitted)",
     )
     recover.add_argument("polynomial", nargs="?", default=None, help="polynomial text, e.g. '3*x + 1'")
     check = add(
-        "check",
-        _cmd_decide,
-        _DECIDE_OPTIONS,
-        "exit 0 iff the polynomial is a Hilbert polynomial (stdin batch when omitted)",
+        "check", _cmd_decide, (), "exit 0 iff the polynomial is a Hilbert polynomial (stdin batch when omitted)"
     )
     check.add_argument("polynomial", nargs="?", default=None, help="polynomial text")
+    # check prints a verdict only: the values recover's options set are fixed
+    check.set_defaults(format="text", ambient=None, verbose=False)
     build = add("build", _cmd_build, ("--format",), "build the polynomial a partition generates")
     build.add_argument("partition", help="partition text, e.g. '(2^3,1)' or '[2,2,2,1]'")
     rand = add(
@@ -175,12 +173,10 @@ def _recover_text_line(outcome: Outcome, ambient: int | None) -> str:
 
 def _render(text: str, outcome: Outcome, args: argparse.Namespace, single: bool) -> str | None:
     """The stdout line for one decided polynomial; ``check`` on an argument has none."""
-    if args.command == "check" and single:
-        return None
+    if args.command == "check":
+        return None if single else ("hilbert" if isinstance(outcome, Success) else "not-hilbert")
     if args.format == "json":
         return json.dumps(_recover_payload(text, outcome, args.ambient))
-    if args.command == "check":
-        return "hilbert" if isinstance(outcome, Success) else "not-hilbert"
     return _recover_text_line(outcome, args.ambient)
 
 
@@ -209,12 +205,10 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     """``recover`` and ``check``: a polynomial argument is a batch of one."""
     single = args.polynomial is not None
     texts = [args.polynomial] if single else (line for line in map(str.strip, sys.stdin) if line)
-    # recover prints the trace; check carries it only on its JSON batch lines
-    want_trace = args.verbose and (args.command == "recover" or (args.format == "json" and not single))
     worst = 0
     for text in texts:
         try:
-            outcome = recover_delta(parse_polynomial(text), want_trace=want_trace)
+            outcome = recover_delta(parse_polynomial(text), want_trace=args.verbose)
             shown = _render(text, outcome, args, single)
         except Exception as exc:  # a parse error or a crash costs this polynomial only
             _print_error(text, exc, args, single)
@@ -239,11 +233,7 @@ def _partition_payload(partition: Partition, p: Polynomial) -> dict:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    try:
-        partition = parse_partition(args.partition)
-    except (PartitionSyntaxError, NonPositivePartError, NotNonIncreasingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    partition = parse_partition(args.partition)
     p = build_hilbert(partition)
     if args.format == "json":
         coeffs = [format_rational(c) for c in p.coeffs]

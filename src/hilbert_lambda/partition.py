@@ -14,6 +14,7 @@ C(x, k) and the in-place block peel
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -146,16 +147,7 @@ def non_incr_seqs(m: int, n: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _descending_seqs(m, n)
-
-
-def _descending_seqs(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    if m == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _descending_seqs(m - 1, first):
-            yield (first,) + rest
+    return itertools.combinations_with_replacement(range(n, 0, -1), m)
 
 
 def count_non_incr_seqs(m: int, n: int) -> int:

@@ -247,9 +247,14 @@ def test_check_batch_prints_verdicts(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["check"], stdin_text="3*x + 1\nx/2\n")
     assert code == 1
     assert out.splitlines() == ["hilbert", "not-hilbert"]
+    # an error line takes its place and the later lines are still decided
+    code, out, _ = run_cli(monkeypatch, capsys, ["check"], stdin_text="3*x + 1\nx +\nx/2\n")
+    assert code == 2
+    assert out.splitlines() == ["hilbert", "error: expected a term at column 3", "not-hilbert"]
 
 
 def test_check_requests_the_trace_only_where_it_is_printed(monkeypatch, capsys):
+    # check prints no trace anywhere, so it never asks for one
     requested = []
 
     def spy(p, *, want_trace=False):
@@ -257,19 +262,9 @@ def test_check_requests_the_trace_only_where_it_is_printed(monkeypatch, capsys):
         return recover_delta(p, want_trace=want_trace)
 
     monkeypatch.setattr(cli, "recover_delta", spy)
-    for text, expected in (("3*x + 1", 0), ("x", 1)):
-        quiet = run_cli(monkeypatch, capsys, ["check", text])
-        assert run_cli(monkeypatch, capsys, ["check", text, "--verbose"]) == quiet
-        assert quiet[0] == expected
-    code, out, _ = run_cli(monkeypatch, capsys, ["check", "--verbose"], stdin_text="3*x + 1\n")
-    assert (code, out) == (0, "hilbert\n")
-    assert requested == [False] * 5
-    # a JSON batch line carries the trace, so there it is still requested
-    argv = ["check", "--verbose", "--format", "json"]
-    code, out, _ = run_cli(monkeypatch, capsys, argv, stdin_text="3*x + 1\n")
-    assert code == 0
-    assert json.loads(out)["trace"] == [{"m": 1, "r": 3, "s": 1, "e": 3}, {"m": 0, "r": 1, "s": 4, "e": 4}]
-    assert requested[-1] is True
+    run_cli(monkeypatch, capsys, ["check", "3*x + 1"])
+    run_cli(monkeypatch, capsys, ["check"], stdin_text="3*x + 1\nx\n")
+    assert requested == [False] * 3
 
 
 def test_build_text(monkeypatch, capsys):
@@ -341,6 +336,9 @@ def test_random_json(monkeypatch, capsys):
         ["recover", "1", "--engine", "naive"],
         ["check", "1", "--r-max", "4"],
         ["check", "1", "--engine", "delta"],
+        ["check", "1", "--verbose"],
+        ["check", "1", "--ambient", "1"],
+        ["check", "1", "--format", "json"],
     ],
 )
 def test_usage_errors_exit_2(monkeypatch, capsys, argv):
