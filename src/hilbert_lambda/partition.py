@@ -105,16 +105,16 @@ def from_exponent_form(form: ExponentForm) -> Partition:
     return Partition(tuple(parts))
 
 
-def build_hilbert(partition: Partition) -> Polynomial:
+def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
     """Expand sum over i of C(x + a_i - i, a_i - 1) into coefficient form.
 
-    The i-th part a_i (1-based) contributes a term of degree a_i - 1, so
-    a non-empty partition yields degree a_1 - 1; the empty partition
-    yields the zero polynomial.  Each run of equal parts is peeled off
-    zeros in the basis C(x, k) in O(value) integer operations, whatever its
-    size, and the sum is negated once at the end.
+    The i-th part a_i (1-based) contributes a term of degree a_i - 1, so a
+    non-empty partition yields degree a_1 - 1 and the empty one zero.  Each
+    run of equal parts, also of an :class:`ExponentForm`, is peeled off zeros
+    in the basis C(x, k) in O(value) integer operations, whatever its size,
+    and the sum is negated once at the end.
     """
-    pairs = to_exponent_form(partition).pairs
+    pairs = (partition if isinstance(partition, ExponentForm) else to_exponent_form(partition)).pairs
     a = [0] * (pairs[0][0] if pairs else 0)
     start = 1
     for value, multiplicity in pairs:

@@ -12,10 +12,10 @@ the first term):
 
 The trailing "/ uint" divides the whole term, so "x/2" and "x^2/3" are
 accepted alongside "1/2*x" and "3/2x^2".  Duplicate powers are summed.
-Parsing takes one match of a compiled pattern per term; each term's
-coefficient is summed per power as an integer fraction, and one
-:class:`Fraction` is built per power at the end.  All literals are read
-exactly; no floating point is involved anywhere.
+Parsing takes one match of a compiled pattern per term and sums them per
+power as integer fractions; one lcm of their denominators gives the
+integer form of :class:`Polynomial`, and only its ``coeffs`` view builds
+:class:`Fraction` values.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -42,20 +42,37 @@ class DenominatorZeroError(PolynomialSyntaxError):
 
 
 class Polynomial:
-    """Dense coefficient vector, lowest power first, no trailing zeros.
-
-    The zero polynomial is the empty coefficient tuple.  Construction
-    normalizes: coefficients are coerced to :class:`Fraction` and trailing
-    zeros are stripped, so every instance is canonical.
+    """Dense polynomial, lowest power first, in canonical integer form:
+    ``scale`` is the lcm of the coefficient denominators and ``numerators``
+    holds ``scale * c_i``, with no trailing zeros and
+    ``gcd(scale, *numerators) == 1``; the zero polynomial is ``(1, ())``.
+    ``Polynomial(rationals)`` and :meth:`from_integers` both reduce to it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("scale", "numerators", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __new__(cls, coeffs: Iterable[Rational] = ()) -> Polynomial:
+        cs = [Fraction(c) for c in coeffs]
+        scale = math.lcm(*(c.denominator for c in cs))
+        return cls.from_integers(scale, [c.numerator * (scale // c.denominator) for c in cs])
+
+    @classmethod
+    def from_integers(cls, scale: int, numerators: Iterable[int]) -> Polynomial:
+        """The polynomial with coefficients ``numerators[i] / scale``, scale > 0."""
+        ns = list(numerators)
+        while ns and not ns[-1]:
+            ns.pop()
+        g = math.gcd(scale, *ns)
+        p = object.__new__(cls)
+        p.scale, p.numerators, p._coeffs = scale // g, tuple([n // g for n in ns] if g > 1 else ns), None
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as :class:`Fraction` values, built on first read."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(n, self.scale) for n in self.numerators)
+        return self._coeffs
 
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial.
@@ -63,26 +80,27 @@ class Polynomial:
         None rather than -1 so that a forgotten zero-polynomial check
         fails loudly instead of silently feeding a loop bound.
         """
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.numerators) - 1 if self.numerators else None
 
     def evaluate(self, x: Rational) -> Fraction:
-        """Exact value at ``x``, by Horner's rule."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at ``x``, by Horner's rule on the integers."""
+        u, v = Fraction(x).as_integer_ratio()
+        acc, power = 0, 1
+        for n in reversed(self.numerators):
+            acc, power = acc * u + n * power, power * v
+        # acc = sum of n_i u^i v^(d-i) and power = v^(d+1), at degree d
+        return Fraction(acc * v, self.scale * power)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.scale == other.scale and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.scale, self.numerators))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]!r})"
@@ -99,14 +117,13 @@ def sample_points(p: Polynomial, n: int) -> Sequence:
 
 
 def newton_coeffs(p: Polynomial) -> tuple[int, list[int]]:
-    """``(L, [L*a_0, ..., L*a_n])``: ``L`` the lcm of p's denominators and
+    """``(L, [L*a_0, ..., L*a_n])``: ``L`` is ``p.scale`` and
     ``a_k = Δ^k p(0)`` the coefficient of C(x, k) in p.  Synthetic division
     of ``L*p`` by x, x - 1, ..., x - n + 1 leaves remainders b_k with
     ``L*p = sum over k of b_k x(x-1)...(x-k+1)``, so ``L*a_k = k! b_k``; all in
     integers.  p is integer-valued exactly when ``L`` divides every entry
     (Pólya 1915)."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    c = [coeff.numerator * (scale // coeff.denominator) for coeff in p.coeffs]
+    scale, c = p.scale, list(p.numerators)
     n = len(c) - 1
     factorial = 1
     for k in range(1, n + 1):
@@ -123,14 +140,16 @@ def newton_coeffs(p: Polynomial) -> tuple[int, list[int]]:
 def from_newton(a: list[int]) -> Polynomial:
     """The polynomial sum over k of a_k C(x, k), in monomials, by Horner over
     the integers: q_n = a_n and q_k = a_k * n!/k! + (x - k) q_{k+1} give
-    q_0 = n! * p, so the only division is by n! at the end."""
+    q_0 = n! * p, the integer form (n!, q_0); ``acc`` is multiplied in place."""
     acc: list[int] = []
     scale = 1  # n!/k! inside the loop, n! after it
     for k in range(len(a) - 1, -1, -1):
-        acc = [high - k * low for high, low in zip([0] + acc, acc + [0])]
-        acc[0] += a[k] * scale
+        acc.append(0)
+        for i in range(len(acc) - 1, 0, -1):
+            acc[i] = acc[i - 1] - k * acc[i]
+        acc[0] = a[k] * scale - k * acc[0]
         scale *= k or 1
-    return Polynomial(Fraction(c, scale) for c in acc)
+    return Polynomial.from_integers(scale, acc)
 
 
 def format_rational(q: Fraction) -> str:
@@ -223,10 +242,11 @@ def parse_polynomial(text: str) -> Polynomial:
         pos = m.end()
         if pos == len(text):
             break
-    coeffs = [0] * (max(powers) + 1)
+    scale = math.lcm(*(common for _, common in powers.values()))
+    numerators = [0] * (max(powers) + 1)
     for power, (total, common) in powers.items():
-        coeffs[power] = Fraction(total, common)
-    return Polynomial(coeffs)
+        numerators[power] = total * (scale // common)
+    return Polynomial.from_integers(scale, numerators)
 
 
 def _uint(m: re.Match, group: str) -> int:

@@ -204,6 +204,28 @@ class _CursorParser:
         return self.text[self.pos]
 
 
+def newton_horner_reference(a: list[int]) -> Polynomial:
+    """Reference for ``from_newton``: the Horner it replaced, which rebuilds
+    its list from two shifted copies every round and ends with one
+    ``Fraction`` per coefficient."""
+    acc: list[int] = []
+    scale = 1
+    for k in range(len(a) - 1, -1, -1):
+        acc = [high - k * low for high, low in zip([0] + acc, acc + [0])]
+        acc[0] += a[k] * scale
+        scale *= k or 1
+    return Polynomial(Fraction(c, scale) for c in acc)
+
+
+def fraction_horner(p: Polynomial, x: Fraction) -> Fraction:
+    """Reference for ``Polynomial.evaluate``: Horner's rule on the
+    ``Fraction`` coefficients."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def negative_lead_poly(rng) -> Polynomial:
     """Integer-valued polynomial with negative leading coefficient.
 

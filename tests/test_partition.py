@@ -143,6 +143,12 @@ def test_build_hilbert_known_polynomials():
     assert build_hilbert(Partition(())).coeffs == ()
 
 
+def test_build_hilbert_accepts_exponent_form(partitions_923):
+    for lam in partitions_923:
+        assert build_hilbert(to_exponent_form(lam)) == build_hilbert(lam), lam
+    assert build_hilbert(ExponentForm()) == Polynomial()
+
+
 def test_build_hilbert_degree_and_leading_sign():
     rng = random.Random(11)
     for _ in range(100):

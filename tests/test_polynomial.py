@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -21,7 +22,7 @@ from hilbert_lambda.polynomial import (
 )
 from hilbert_lambda import build_hilbert
 from hilbert_lambda.calculus import delta, is_integer_sequence
-from support import cursor_parse
+from support import cursor_parse, fraction_horner, newton_horner_reference
 
 coefficients = st.lists(
     st.fractions(min_value=-100, max_value=100, max_denominator=30),
@@ -47,6 +48,77 @@ def test_equality_and_hash_on_canonical_form():
     assert Polynomial([1]) != Polynomial([2])
     assert not Polynomial([0])
     assert Polynomial([0, 1])
+
+
+def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
+    """Seeded (numerator, denominator) pairs, unreduced: zeros, trailing
+    zeros, negatives and common factors all occur."""
+    rng = random.Random(seed)
+    lists = []
+    for _ in range(count):
+        pairs = []
+        for _ in range(rng.randint(0, 9)):
+            factor = rng.randint(1, 6)
+            numerator = 0 if rng.random() < 0.25 else rng.randint(-40, 40)
+            pairs.append((numerator * factor, rng.randint(1, 12) * factor))
+        pairs += [(0, rng.randint(1, 5))] * rng.choice([0, 0, 1, 3])
+        lists.append(pairs)
+    return lists
+
+
+def test_integer_form_is_canonical():
+    for pairs in _coefficient_lists(7, 500):
+        coeffs = [Fraction(n, d) for n, d in pairs]
+        p = Polynomial(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        assert p.coeffs == tuple(coeffs)
+        assert p.scale == math.lcm(*(c.denominator for c in p.coeffs)) > 0
+        assert math.gcd(p.scale, *p.numerators) == 1
+        assert not p.numerators or p.numerators[-1] != 0
+        assert p.degree() == (len(coeffs) - 1 if coeffs else None)
+        # the same polynomial from unreduced integers, then scaled by a common factor
+        scale = math.prod(d for _, d in pairs)
+        numerators = [n * (scale // d) for n, d in pairs]
+        for factor in (1, 6, 2**70 - 1):
+            q = Polynomial.from_integers(scale * factor, [n * factor for n in numerators])
+            assert (q.scale, q.numerators) == (p.scale, p.numerators)
+            assert q == p and hash(q) == hash(p)
+    assert (Polynomial().scale, Polynomial().numerators) == (1, ())
+    assert Polynomial.from_integers(12, [0, 0]) == Polynomial()
+
+
+def test_coeffs_is_a_read_only_view():
+    p = Polynomial.from_integers(4, [2, -6, 8])
+    assert p.coeffs == (Fraction(1, 2), Fraction(-3, 2), Fraction(2))
+    assert p.coeffs is p.coeffs  # built once
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
+def test_evaluate_matches_fraction_horner():
+    rng = random.Random(11)
+    points = [Fraction(x) for x in range(-5, 6)]
+    points += [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(20)]
+    for pairs in _coefficient_lists(13, 200):
+        p = Polynomial(Fraction(n, d) for n, d in pairs)
+        for x in points:
+            assert p.evaluate(x) == fraction_horner(p, x), (p, x)
+    assert Polynomial().evaluate(Fraction(1, 3)) == 0
+    assert type(Polynomial([2]).evaluate(5)) is Fraction
+
+
+def test_from_newton_matches_list_rebuild_horner():
+    rng = random.Random(29)
+    for i in range(300):
+        length = 121 if i < 3 else rng.randint(0, 40)  # the longest reach degree 120
+        a = [rng.randint(-10**6, 10**6) if rng.random() < 0.8 else 0 for _ in range(length)]
+        if i % 4 == 0 and a:
+            a[-1] = 0  # a zero top coefficient lowers the degree
+        p = from_newton(a)
+        expected = newton_horner_reference(a)
+        assert (p.scale, p.numerators) == (expected.scale, expected.numerators), a
+        assert p.coeffs == expected.coeffs
 
 
 def test_evaluate_worked_value():

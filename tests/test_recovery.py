@@ -108,6 +108,16 @@ def test_recover_delta_large_success_matches_window():
         assert total == p.evaluate(x)
 
 
+@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 15)] + [f"9*x^{n}" for n in range(5, 12)])
+def test_build_inverts_recover_at_astronomical_scale(text):
+    # up to ~5e87 parts (9*x^5) and 579 065-bit multiplicities (x^14): only
+    # the run-length build rebuilds these answers
+    p = parse_polynomial(text)
+    outcome = recover_delta(p)
+    assert isinstance(outcome, Success)
+    assert build_hilbert(outcome.form) == p
+
+
 def test_subtract_block_validates_arguments():
     window = Sequence([1, 4])
     with pytest.raises(ValueError):
