@@ -2,7 +2,9 @@
 
 The engines hold a polynomial as its integer coefficients a_k = Δ^k p(0)
 in the basis C(x, k); :func:`peel_block` subtracts one block of equal
-parts from them in place, in O(v) integer operations.
+parts from them in place, in O(v) integer operations, and returns the
+binomial chain that the block below reuses, by Pascal's rule, when its
+value is one less.
 :class:`Sequence`, :func:`delta` and :func:`reduce` difference a finite
 window of samples f(0), ..., f(k-1) directly: the reference route to the
 same degrees and leading coefficients, kept for tests and demos.
@@ -118,21 +120,34 @@ def binomial_seq_value(d: int, x: int) -> int:
     return quotient
 
 
-def peel_block(a: list[int], v: int, start: int, end: int) -> None:
+def peel_block(a: list[int], v: int, start: int, end: int, below: list[int] | None = None) -> list[int]:
     """Subtract from ``a`` the coefficients of C(x, 0..v-1) in the block sum
-    over i in [start, end] of C(x + v - i, v - 1), in place.  The sum
-    telescopes (Pascal) to C(x + v - start + 1, v) - C(x + v - end, v), and
-    Vandermonde, C(x + c, v) = sum over k of C(c, k) C(x, v - k), expands
-    both: one walk of the two chains C(c, 1..v), O(v) integer operations for
-    any span.  An empty span (end == start - 1) subtracts nothing.
+    over i in [start, end] of C(x + v - i, v - 1), in place, and return the
+    lower chain C(v - end, 1..v).
+
+    The sum telescopes (Pascal) to C(x + top, v) - C(x + bottom, v) with
+    top = v - start + 1 and bottom = v - end, and Vandermonde,
+    C(x + c, v) = sum over k of C(c, k) C(x, v - k), expands both: one walk
+    of the two chains C(top, 1..v) and C(bottom, 1..v), O(v) integer
+    operations for any span.  An empty span (end == start - 1) subtracts
+    nothing.
+
+    ``below`` is the chain that the call for the block just above returned,
+    and may be passed only when that block has value v + 1 and ends at
+    start - 1.  Its chain is then C(top + 1, 1..v + 1), and Pascal's rule
+    C(top, k + 1) = C(top + 1, k + 1) - C(top, k) gives the upper chain by
+    subtractions, so only the lower chain is multiplied out.
     """
+    chain = []
     upper = lower = 1
     top, bottom = v - start + 1, v - end
     for k in range(v):
         # exact: C(c, k) * (c - k) == (k + 1) * C(c, k + 1), for any integer c
-        upper = upper * (top - k) // (k + 1)
+        upper = upper * (top - k) // (k + 1) if below is None else below[k] - upper
         lower = lower * (bottom - k) // (k + 1)
+        chain.append(lower)
         a[v - 1 - k] -= upper - lower
+    return chain
 
 
 def is_integer_sequence(f: Sequence) -> bool:

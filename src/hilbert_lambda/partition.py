@@ -9,7 +9,9 @@ this shape are Hilbert polynomials, and the generating partition is
 unique; the recovery engines in :mod:`hilbert_lambda.recovery` invert the
 construction.  Both directions share integer coefficients in the basis
 C(x, k) and the in-place block peel
-(:func:`hilbert_lambda.calculus.peel_block`).
+(:func:`hilbert_lambda.calculus.peel_block`), which passes each run's
+binomial chain on to a run of value one less.  The build reads the runs
+straight off a :class:`Partition` or an :class:`ExponentForm`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterator
 
 from .calculus import binomial_seq_value, peel_block
@@ -88,13 +92,20 @@ class ExponentForm:
 
 def to_exponent_form(partition: Partition) -> ExponentForm:
     """Run-length encode equal parts."""
-    pairs: list[tuple[int, int]] = []
-    for part in partition.parts:
-        if pairs and pairs[-1][0] == part:
-            pairs[-1] = (part, pairs[-1][1] + 1)
-        else:
-            pairs.append((part, 1))
-    return ExponentForm(tuple(pairs))
+    return ExponentForm(tuple(_runs(partition.parts)))
+
+
+def _runs(parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    # (value, multiplicity) of each run of non-increasing parts: a run ends
+    # where -part first exceeds -value, found by bisection, so a run of any
+    # length costs O(log len(parts)) comparisons
+    runs: list[tuple[int, int]] = []
+    i = 0
+    while i < len(parts):
+        j = bisect_right(parts, -parts[i], i, key=neg)
+        runs.append((parts[i], j - i))
+        i = j
+    return runs
 
 
 def from_exponent_form(form: ExponentForm) -> Partition:
@@ -112,15 +123,16 @@ def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
     non-empty partition yields degree a_1 - 1 and the empty one zero.  Each
     run of equal parts, also of an :class:`ExponentForm`, is peeled off zeros
     in the basis C(x, k) in O(value) integer operations, whatever its size,
-    and the sum is negated once at the end.
+    and the sum is negated once at the end.  A run whose value is one below
+    the run above reuses that run's binomial chain.
     """
-    pairs = (partition if isinstance(partition, ExponentForm) else to_exponent_form(partition)).pairs
+    pairs = partition.pairs if isinstance(partition, ExponentForm) else _runs(partition.parts)
     a = [0] * (pairs[0][0] if pairs else 0)
-    start = 1
+    start, previous, below = 1, None, None
     for value, multiplicity in pairs:
         end = start + multiplicity - 1
-        peel_block(a, value, start, end)
-        start = end + 1
+        below = peel_block(a, value, start, end, below if previous == value + 1 else None)
+        start, previous = end + 1, value
     return from_newton([-b for b in a])
 
 

@@ -5,9 +5,11 @@ a_k = Δ^k p(0) in the basis C(x, k): each round's block of equal parts,
 degree m and multiplicity r, is the top nonzero a_m and is peeled off in
 place (:func:`hilbert_lambda.calculus.peel_block`) in O(m) integer
 operations, so a decision costs O(n^2) of them; the loop ends when every
-a_k is zero.  ``recover_naive`` searches candidate partitions in
-descending lexicographic order and compares values on enough sample
-points to pin the polynomial down.  Both return
+a_k is zero.  A block of degree one below the previous block's reuses the
+lower binomial chain of that peel, so it multiplies out one chain, not
+two.  ``recover_naive`` searches candidate partitions in descending
+lexicographic order and compares values on enough sample points to pin
+the polynomial down.  Both return
 ``Success`` with the partition or ``NotHilbert`` with a structured reason.
 
 Success carries the partition in run-length form.  Innocent-looking
@@ -145,7 +147,7 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
     a = [value // scale for value in a]
     blocks: list[tuple[int, int]] = []
     trace: list[TraceStep] = []
-    start, m = 1, n
+    start, m, below = 1, n, None
     # block degrees strictly decrease, so at most n + 1 subtraction
     # rounds plus one final zero check
     for _ in range(n + 2):
@@ -160,7 +162,8 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
                 trace=tuple(trace) if want_trace else None,
             )
         end = start + r - 1
-        peel_block(a, m + 1, start, end)
+        # the block above has value m + 2 exactly when its chain feeds this one
+        below = peel_block(a, m + 1, start, end, below if blocks and blocks[-1][0] == m + 2 else None)
         blocks.append((m + 1, r))
         if want_trace:
             trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=_residual_window(a)))

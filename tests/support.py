@@ -217,6 +217,21 @@ def newton_horner_reference(a: list[int]) -> Polynomial:
     return Polynomial(Fraction(c, scale) for c in acc)
 
 
+def two_chain_peel(a: list[int], v: int, start: int, end: int) -> list[int]:
+    """Reference for ``peel_block``: the walk that multiplies out both chains,
+    C(v - start + 1, k) and C(v - end, k) for k = 1..v, for every block.
+    Subtracts the block from ``a`` in place and returns the lower chain."""
+    upper = lower = 1
+    top, bottom = v - start + 1, v - end
+    chain = []
+    for k in range(v):
+        upper = upper * (top - k) // (k + 1)
+        lower = lower * (bottom - k) // (k + 1)
+        chain.append(lower)
+        a[v - 1 - k] -= upper - lower
+    return chain
+
+
 def fraction_horner(p: Polynomial, x: Fraction) -> Fraction:
     """Reference for ``Polynomial.evaluate``: Horner's rule on the
     ``Fraction`` coefficients."""

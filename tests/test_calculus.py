@@ -17,7 +17,10 @@ from hilbert_lambda.calculus import (
     peel_block,
     reduce,
 )
-from hilbert_lambda.polynomial import Polynomial, sample_points
+from hilbert_lambda.partition import ExponentForm, build_hilbert
+from hilbert_lambda.polynomial import Polynomial, from_newton, sample_points
+from hilbert_lambda.recovery import Success, recover_delta
+from support import two_chain_peel
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -172,3 +175,54 @@ def test_peel_block_spans_astronomically_many_parts():
         peel_block(a, v, start, end)
         assert [-value for value in a] == _newton_of_values(pair)
         assert a[-1] == -(10**50 + 1)  # the top coefficient counts the parts
+
+
+def _block_sequences(rng: random.Random) -> list[list[tuple[int, int]]]:
+    # runs (value, multiplicity) with strictly decreasing values: adjacent
+    # values, gaps of 2 and more, v = 1, empty spans (multiplicity 0) and
+    # 10**50-part spans, alone and next to each other
+    sequences = [
+        [(1, 1)],
+        [(1, 10**50)],
+        [(2, 0), (1, 3)],
+        [(3, 10**50), (2, 10**50), (1, 0)],
+        [(5, 2), (3, 1)],
+    ]
+    for _ in range(150):
+        value, runs = rng.randint(2, 14), []
+        while value >= 1:
+            runs.append((value, rng.choice([0, 1, 2, 3, rng.randint(4, 10**6), 10**50])))
+            value -= rng.choice([1, 1, 1, 2, 3])
+        sequences.append(runs)
+    return sequences
+
+
+def test_peel_block_shared_chain_matches_the_two_chain_walk():
+    rng = random.Random(10)
+    for runs in _block_sequences(rng):
+        a = [rng.randint(-1000, 1000) for _ in range(runs[0][0])]
+        reference = list(a)
+        start, previous, below = 1, None, None
+        for v, multiplicity in runs:
+            end = start + multiplicity - 1
+            chain = peel_block(a, v, start, end, below if previous == v + 1 else None)
+            assert chain == two_chain_peel(reference, v, start, end), runs
+            assert a == reference, runs
+            assert chain == [binomial_seq_value(k, v - end) for k in range(1, v + 1)], runs
+            start, previous, below = end + 1, v, chain
+
+
+def test_build_and_recover_share_chains_only_between_adjacent_values():
+    # both callers decide when to pass the chain on; a gap of 2 must not share
+    rng = random.Random(11)
+    for runs in _block_sequences(rng):
+        form = ExponentForm(tuple((v, r) for v, r in runs if r))
+        if not form.pairs:
+            continue
+        a, start = [0] * form.pairs[0][0], 1
+        for v, multiplicity in form.pairs:
+            two_chain_peel(a, v, start, start + multiplicity - 1)
+            start += multiplicity
+        p = from_newton([-b for b in a])
+        assert build_hilbert(form) == p, runs
+        assert recover_delta(p) == Success(form), runs

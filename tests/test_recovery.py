@@ -108,9 +108,9 @@ def test_recover_delta_large_success_matches_window():
         assert total == p.evaluate(x)
 
 
-@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 15)] + [f"9*x^{n}" for n in range(5, 12)])
+@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 16)] + [f"9*x^{n}" for n in range(5, 12)])
 def test_build_inverts_recover_at_astronomical_scale(text):
-    # up to ~5e87 parts (9*x^5) and 579 065-bit multiplicities (x^14): only
+    # up to ~5e87 parts (9*x^5) and 1.29 Mbit multiplicities (x^15): only
     # the run-length build rebuilds these answers
     p = parse_polynomial(text)
     outcome = recover_delta(p)
