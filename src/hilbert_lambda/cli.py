@@ -19,22 +19,8 @@ import random
 import sys
 from typing import Callable
 
-from .partition import (
-    Partition,
-    build_hilbert,
-    format_exponent_form,
-    format_partition,
-    parse_partition,
-    random_partition,
-    to_exponent_form,
-)
-from .polynomial import (
-    Polynomial,
-    PolynomialSyntaxError,
-    format_polynomial,
-    format_rational,
-    parse_polynomial,
-)
+from .partition import build_hilbert, format_exponent_form, parse_partition, random_partition, to_exponent_form
+from .polynomial import PolynomialSyntaxError, format_polynomial, format_rational, parse_polynomial
 from .recovery import Outcome, Success, recover_delta
 
 
@@ -106,8 +92,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except Exception as exc:  # exit 1 means "not Hilbert", which a crash must not claim
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
+
+
+def _error_text(exc: Exception) -> str:
+    # a MemoryError has no text of its own
+    return str(exc) or type(exc).__name__
 
 
 def run() -> None:
@@ -125,27 +116,27 @@ def _fits_ambient(outcome: Success, ambient: int) -> bool:
     return not pairs or pairs[0][0] <= ambient
 
 
+def _put_lambda(payload: dict, answer: Success) -> None:
+    """Fill the keys every JSON λ has: ``lambda_flat``, ``lambda_exp`` and,
+    if there are any, ``warnings``.  Keys already in ``payload`` keep their
+    place.  ``lambda_flat`` is null past FLAT_PARTS_LIMIT parts."""
+    pairs = answer.form.pairs
+    total_parts = sum(mult for _, mult in pairs)
+    warnings = list(answer.warnings)
+    if total_parts <= FLAT_PARTS_LIMIT:
+        payload["lambda_flat"] = list(answer.flat().parts)
+    else:
+        payload["lambda_flat"] = None
+        warnings.append(f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp")
+    payload["lambda_exp"] = [[value, mult] for value, mult in pairs]
+    if warnings:
+        payload["warnings"] = warnings
+
+
 def _recover_payload(text: str, outcome: Outcome, ambient: int | None) -> dict:
     if isinstance(outcome, Success):
-        pairs = outcome.form.pairs
-        total_parts = sum(mult for _, mult in pairs)
-        warnings = list(outcome.warnings)
-        if total_parts <= FLAT_PARTS_LIMIT:
-            flat: list[int] | None = list(outcome.flat().parts)
-        else:
-            flat = None
-            warnings.append(
-                f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp"
-            )
-        payload: dict = {
-            "input": text,
-            "hilbert": True,
-            "lambda_flat": flat,
-            "lambda_exp": [[value, mult] for value, mult in pairs],
-            "reason": None,
-        }
-        if warnings:
-            payload["warnings"] = warnings
+        payload: dict = {"input": text, "hilbert": True, "lambda_flat": None, "lambda_exp": None, "reason": None}
+        _put_lambda(payload, outcome)
         if ambient is not None:
             payload["ambient"] = {"n": ambient, "ok": _fits_ambient(outcome, ambient)}
     else:
@@ -192,10 +183,11 @@ def _print_side_channel(outcome: Outcome, verbose: bool) -> None:
 
 
 def _print_error(text: str, exc: Exception, args: argparse.Namespace, single: bool) -> None:
+    message = _error_text(exc)
     if not single:  # a stdin line's error takes that line's place on stdout
-        print(json.dumps({"input": text, "error": str(exc)}) if args.format == "json" else f"error: {exc}")
+        print(json.dumps({"input": text, "error": message}) if args.format == "json" else f"error: {message}")
         return
-    print(f"error: {exc}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
     if isinstance(exc, PolynomialSyntaxError):
         print(f"  {text}", file=sys.stderr)
         print("  " + " " * exc.position + "^", file=sys.stderr)
@@ -223,21 +215,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return worst
 
 
-def _partition_payload(partition: Partition, p: Polynomial) -> dict:
-    """The JSON keys ``build`` and ``random`` share."""
-    return {
-        "lambda_flat": list(partition.parts),
-        "lambda_exp": [[value, mult] for value, mult in to_exponent_form(partition).pairs],
-        "polynomial": format_polynomial(p),
-    }
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
-    partition = parse_partition(args.partition)
-    p = build_hilbert(partition)
+    form = parse_partition(args.partition)
+    p = build_hilbert(form)
     if args.format == "json":
-        coeffs = [format_rational(c) for c in p.coeffs]
-        print(json.dumps({"input": args.partition, **_partition_payload(partition, p), "coeffs": coeffs}))
+        payload = {"input": args.partition, "lambda_flat": None, "lambda_exp": None}
+        payload["polynomial"] = format_polynomial(p)
+        payload["coeffs"] = [format_rational(c) for c in p.coeffs]
+        _put_lambda(payload, Success(form))
+        print(json.dumps(payload))
     else:
         print(format_polynomial(p))
     return 0
@@ -245,12 +231,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_random(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
-    partition = random_partition(args.max_part, args.max_len, rng)
-    p = build_hilbert(partition)
+    form = to_exponent_form(random_partition(args.max_part, args.max_len, rng))
+    p = build_hilbert(form)
     if args.format == "json":
-        print(json.dumps(_partition_payload(partition, p)))
+        payload = {"lambda_flat": None, "lambda_exp": None, "polynomial": format_polynomial(p)}
+        _put_lambda(payload, Success(form))
+        print(json.dumps(payload))
     else:
-        print(f"λ = {format_partition(partition)}")
+        print(f"λ = {format_exponent_form(form)}")
         print(f"p = {format_polynomial(p)}")
     return 0
-

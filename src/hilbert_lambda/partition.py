@@ -12,6 +12,10 @@ C(x, k) and the in-place block peel
 (:func:`hilbert_lambda.calculus.peel_block`), which passes each run's
 binomial chain on to a run of value one less.  The build reads the runs
 straight off a :class:`Partition` or an :class:`ExponentForm`.
+
+Multiplicities can be astronomically large, so partition text is parsed
+straight into an :class:`ExponentForm` and never expanded; the form checks
+its own validity and reports an offender by its index in the flat partition.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import neg
@@ -79,15 +84,18 @@ class ExponentForm:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        previous = None
+        # index is the flat index of each run's first part
+        previous, index = None, 0
         for value, multiplicity in self.pairs:
             if value < 1:
-                raise NonPositivePartError(f"value {value} is not positive")
+                raise NonPositivePartError(f"part {value} at index {index} is not positive")
             if multiplicity < 1:
                 raise ValueError(f"multiplicity {multiplicity} is not positive")
-            if previous is not None and value >= previous:
+            if previous is not None and value > previous:
+                raise NotNonIncreasingError(index)
+            if value == previous:
                 raise ValueError("values must be strictly decreasing")
-            previous = value
+            previous, index = value, index + multiplicity
 
 
 def to_exponent_form(partition: Partition) -> ExponentForm:
@@ -215,39 +223,40 @@ def format_exponent_form(form: ExponentForm) -> str:
     return "(" + ",".join(pieces) + ")"
 
 
-def parse_partition(text: str) -> Partition:
+def parse_partition(text: str) -> ExponentForm:
     """Parse exponent form "(6^2,5,4,1^3)" or flat form "[6,6,5,4,1,1,1]".
 
-    Whitespace is ignored.  Validity (positive, non-increasing) is checked
-    after expansion, so "(1,2)" fails with the usual partition errors.
+    Whitespace is ignored.  Equal neighbours merge into one run, so
+    "(2,2^3,1)" gives ((2, 4), (1, 1)), and no run is ever expanded.  A
+    number is decimal digits after an optional "-" (``-?\\d+``), so "1_0" and
+    "+3" are syntax errors.  Validity is the :class:`ExponentForm`'s own
+    check, so "(1,2)" fails with :class:`NotNonIncreasingError` and "[0]"
+    with :class:`NonPositivePartError`.
     """
     compact = "".join(text.split())
-    if compact.startswith("(") and compact.endswith(")"):
-        body = compact[1:-1]
-        exponent = True
-    elif compact.startswith("[") and compact.endswith("]"):
-        body = compact[1:-1]
-        exponent = False
-    else:
+    if compact[:1] + compact[-1:] not in ("()", "[]"):  # a lone "(" reads "(("
         raise PartitionSyntaxError("expected '(...)' or '[...]' partition text")
-    if not body:
-        return Partition()
-    parts: list[int] = []
-    for item in body.split(","):
-        if exponent and "^" in item:
-            value_text, _, mult_text = item.partition("^")
-            value = _parse_int(value_text)
-            multiplicity = _parse_int(mult_text)
-            if multiplicity < 1:
-                raise PartitionSyntaxError(f"multiplicity {multiplicity} must be >= 1")
-            parts.extend([value] * multiplicity)
-        else:
-            parts.append(_parse_int(item))
-    return Partition(tuple(parts))
+    exponent, body = compact[0] == "(", compact[1:-1]
+    runs: list[tuple[int, int]] = []
+    for item in body.split(",") if body else ():
+        value_text, caret, mult_text = item.partition("^") if exponent else (item, "", "")
+        value = _parse_int(value_text)
+        multiplicity = _parse_int(mult_text) if caret else 1
+        if multiplicity < 1:
+            raise PartitionSyntaxError(f"multiplicity {multiplicity} must be >= 1")
+        if runs and runs[-1][0] == value:
+            multiplicity += runs.pop()[1]
+        runs.append((value, multiplicity))
+    return ExponentForm(tuple(runs))
 
 
 def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise PartitionSyntaxError(f"expected an integer, found {text!r}") from None
+    if _INT.fullmatch(text):  # int() also reads "1_0" and "+3"
+        try:
+            return int(text)
+        except ValueError:  # past the int-to-str digit limit
+            pass
+    raise PartitionSyntaxError(f"expected an integer, found {text!r}")
+
+
+_INT = re.compile(r"-?\d+")

@@ -39,7 +39,7 @@ from .polynomial import Polynomial, newton_coeffs, sample_points
 
 @dataclass(frozen=True)
 class NonIntegerValued:
-    """The polynomial takes a non-integer value on the sample window."""
+    """The polynomial takes a non-integer value at some integer."""
 
     def describe(self) -> str:
         return "sample window contains non-integer values"

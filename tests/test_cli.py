@@ -299,6 +299,35 @@ def test_build_rejects_invalid_partition(monkeypatch, capsys):
     assert "error:" in err
 
 
+def test_build_reads_runs_without_expanding(monkeypatch, capsys):
+    code, out, _ = run_cli(monkeypatch, capsys, ["build", "(1^1000000000000)"])
+    assert (code, out) == (0, "1000000000000\n")
+    code, out, _ = run_cli(monkeypatch, capsys, ["build", "(3^1000000000000,2,1^5)", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda_flat"] is None
+    assert doc["lambda_exp"] == [[3, 10**12], [2, 1], [1, 5]]
+    assert doc["warnings"] == ["partition has 1000000000006 parts; lambda_flat suppressed, see lambda_exp"]
+    # sum over i <= R of C(x + 3 - i, 2) is C(x + 3, 3) - C(x + 3 - R, 3)
+    assert doc["polynomial"] == "500000000000*x^2 - 499999999997999999999999*x + 166666666665666666666667500000000006"
+
+
+def test_error_without_text_names_its_type(monkeypatch, capsys):
+    def out_of_memory(text):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "parse_partition", out_of_memory)
+    monkeypatch.setattr(cli, "parse_polynomial", out_of_memory)
+    code, out, err = run_cli(monkeypatch, capsys, ["build", "(1)"])
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "1"])
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+    code, out, _ = run_cli(monkeypatch, capsys, ["recover"], stdin_text="1\n")
+    assert (code, out) == (2, "error: MemoryError\n")
+    code, out, _ = run_cli(monkeypatch, capsys, ["recover", "--format", "json"], stdin_text="1\n")
+    assert (code, json.loads(out)) == (2, {"input": "1", "error": "MemoryError"})
+
+
 def test_random_is_seed_deterministic(monkeypatch, capsys):
     code, first, _ = run_cli(monkeypatch, capsys, ["random", "6", "6", "--seed", "5"])
     assert code == 0

@@ -69,12 +69,15 @@ def test_exponent_form_round_trip_examples():
 
 
 def test_exponent_form_validation():
-    with pytest.raises(ValueError):
-        ExponentForm(((2, 1), (2, 1)))  # not strictly decreasing
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        ExponentForm(((2, 1), (2, 1)))  # equal runs, not increasing ones
     with pytest.raises(ValueError):
         ExponentForm(((2, 0),))
     with pytest.raises(NonPositivePartError):
         ExponentForm(((0, 1),))
+    with pytest.raises(NotNonIncreasingError) as info:
+        ExponentForm(((2, 5), (1, 1), (3, 1)))
+    assert info.value.index == 6
 
 
 @given(partitions)
@@ -100,15 +103,21 @@ def test_format_partition():
         ("()", ()),
         ("[]", ()),
         ("(7)", (7,)),
+        ("(2,2^3,1)", (2, 2, 2, 2, 1)),  # equal neighbours merge into ((2, 4), (1, 1))
+        ("[2,2,2,2,1]", (2, 2, 2, 2, 1)),
     ],
 )
 def test_parse_partition(text, parts):
-    assert parse_partition(text) == Partition(parts)
+    assert parse_partition(text) == to_exponent_form(Partition(parts))
+
+
+def test_parse_partition_keeps_runs_unexpanded():
+    assert parse_partition("(3^1000000000000,2,1^5)").pairs == ((3, 10**12), (2, 1), (1, 5))
 
 
 @given(partitions)
 def test_parse_format_round_trip(lam):
-    assert parse_partition(format_partition(lam)) == lam
+    assert parse_partition(format_partition(lam)) == to_exponent_form(lam)
 
 
 def test_parse_partition_rejects_bad_text():
@@ -122,6 +131,10 @@ def test_parse_partition_rejects_bad_text():
         parse_partition("[2,1")
     with pytest.raises(PartitionSyntaxError):
         parse_partition("(2,)")
+    # numbers are what -?\d+ matches, as in polynomial text, not all that int() reads
+    for text in ("(1_0)", "(+3)", "(2^+1)"):
+        with pytest.raises(PartitionSyntaxError):
+            parse_partition(text)
 
 
 def test_parse_partition_rejects_invalid_partitions():
@@ -129,6 +142,12 @@ def test_parse_partition_rejects_invalid_partitions():
         parse_partition("(1,2)")
     with pytest.raises(NonPositivePartError):
         parse_partition("[0]")
+    with pytest.raises(NonPositivePartError):
+        parse_partition("[-3]")
+    # the offender's index counts parts, not runs
+    with pytest.raises(NotNonIncreasingError) as info:
+        parse_partition("(2^3,3)")
+    assert info.value.index == 3
 
 
 def test_build_hilbert_known_polynomials():
