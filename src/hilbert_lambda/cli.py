@@ -19,13 +19,16 @@ import random
 import sys
 from typing import Callable
 
-from .partition import build_hilbert, format_exponent_form, parse_partition, random_partition, to_exponent_form
+from .partition import build_hilbert, format_exponent_form, parse_partition, random_partition
 from .polynomial import PolynomialSyntaxError, format_polynomial, format_rational, parse_polynomial
 from .recovery import Outcome, Success, recover_delta
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:  # decimal digits only, as in partition text: int() also reads "1_0" and "+3"
+        value = int(text) if text.isdecimal() else 0
+    except ValueError:  # past the int-to-str digit limit
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -230,8 +233,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    form = to_exponent_form(random_partition(args.max_part, args.max_len, rng))
+    form = random_partition(args.max_part, args.max_len, random.Random(args.seed))
     p = build_hilbert(form)
     if args.format == "json":
         payload = {"lambda_flat": None, "lambda_exp": None, "polynomial": format_polynomial(p)}

@@ -13,9 +13,10 @@ C(x, k) and the in-place block peel
 binomial chain on to a run of value one less.  The build reads the runs
 straight off a :class:`Partition` or an :class:`ExponentForm`.
 
-Multiplicities can be astronomically large, so partition text is parsed
-straight into an :class:`ExponentForm` and never expanded; the form checks
-its own validity and reports an offender by its index in the flat partition.
+Multiplicities can be astronomically large, so partition text is parsed,
+and a random partition drawn, straight into an :class:`ExponentForm`, and
+never expanded; the form checks its own validity and reports an offender by
+its index in the flat partition.
 """
 
 from __future__ import annotations
@@ -175,39 +176,34 @@ def count_non_incr_seqs(m: int, n: int) -> int:
     return math.comb(n + m - 1, m)
 
 
-def random_partition(max_part: int, max_len: int, rng: random.Random) -> Partition:
+def random_partition(max_part: int, max_len: int, rng: random.Random) -> ExponentForm:
     """Uniform draw over every non-empty partition with largest part
-    <= max_part and length <= max_len.
+    <= max_part and length <= max_len, in run-length form.
 
-    Uniform over the enumerated finite set (one index per sequence), not
-    over any weighted partition measure.  Deterministic for a seeded rng.
+    Lengths ascend, each in :func:`non_incr_seqs` order; the one
+    ``rng.randrange`` index is unranked run by run with O(max_part *
+    log max_len) closed-form counts.  Deterministic for a seeded rng.
     """
     if max_part < 1 or max_len < 1:
         raise ValueError("max_part and max_len must be >= 1")
-    counts = [count_non_incr_seqs(m, max_part) for m in range(1, max_len + 1)]
-    index = rng.randrange(sum(counts))
-    for m, block in enumerate(counts, start=1):
-        if index < block:
-            return Partition(_unrank_seq(m, max_part, index))
-        index -= block
-    raise AssertionError("unreachable")
-
-
-def _unrank_seq(m: int, n: int, index: int) -> tuple[int, ...]:
-    # index-th element (0-based) of non_incr_seqs(m, n), descending lex order
-    seq: list[int] = []
-    while m > 0:
-        for first in range(n, 0, -1):
-            below = math.comb(first + m - 2, m - 1)
-            if index < below:
-                seq.append(first)
-                n = first
-                m -= 1
-                break
-            index -= below
-        else:
-            raise ValueError("index out of range")
-    return tuple(seq)
+    # padded to length max_len with max_part + 1 for each missing part, the
+    # partitions are the non-increasing sequences over {1..max_part + 1}: in
+    # descending lex order more padding comes first, and index 0 is the empty one
+    index = rng.randrange(count_non_incr_seqs(max_len, max_part + 1) - 1) + 1
+    m, pairs = max_len, []
+    for value in range(max_part + 1, 0, -1):
+        # the count_non_incr_seqs(k, value) length-m sequences over {1..value}
+        # that open with at least m - k copies of value come first; bisect for
+        # the least k whose count passes index (range() stops at sys.maxsize)
+        lo, k = 0, m
+        while lo < k:
+            mid = (lo + k) // 2
+            lo, k = (lo, mid) if count_non_incr_seqs(mid, value) > index else (mid + 1, k)
+        index -= count_non_incr_seqs(k - 1, value) if k else 0
+        if k < m and value <= max_part:
+            pairs.append((value, m - k))
+        m = k
+    return ExponentForm(tuple(pairs))
 
 
 def format_partition(partition: Partition) -> str:

@@ -1,0 +1,251 @@
+"""Mutation gate: every listed fault in ``src/`` must make its tests fail.
+
+Run from the repository root (pytest does not collect this file)::
+
+    python tests/mutants.py
+
+Each mutant replaces one snippet of one source file; the snippet must occur
+exactly once, so a mutant cannot silently stop applying when the code moves.
+The mutant is written into a fresh temporary copy of ``src/``, and the test
+files listed with it run against that copy (``PYTHONPATH`` puts it first)
+under a timeout; a timeout counts as killed.  The unmutated copy must pass
+every listed test file first, and must be the package those tests import.
+
+Equivalent mutants change the code without changing what it computes, so no
+test can kill them.  They are listed apart, with the reason: their snippets
+are checked to apply exactly once, and their tests are not run.
+
+Exit status 0 when every mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/hilbert_lambda/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test files, relative to the repository root
+
+
+PARTITION_TESTS = ("tests/test_partition.py",)
+
+MUTANTS = [
+    # random_partition's run-length unranking
+    Mutant(
+        "random: total counts sequences over {1..max_part}, without padding",
+        "partition.py",
+        "count_non_incr_seqs(max_len, max_part + 1)",
+        "count_non_incr_seqs(max_len, max_part)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "random: no padding step, so every draw has length max_len",
+        "partition.py",
+        "range(max_part + 1, 0, -1)",
+        "range(max_part, 0, -1)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        # the padding step's subtraction is the one that skips shorter lengths
+        "random: subtracts the count through k, not through k - 1",
+        "partition.py",
+        "index -= count_non_incr_seqs(k - 1, value)",
+        "index -= count_non_incr_seqs(k, value)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "random: bisects to the least count >= index (bisect_left), not > index",
+        "partition.py",
+        "count_non_incr_seqs(mid, value) > index",
+        "count_non_incr_seqs(mid, value) >= index",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "random: index 0, the empty partition, is not skipped",
+        "partition.py",
+        "rng.randrange(count_non_incr_seqs(max_len, max_part + 1) - 1) + 1",
+        "rng.randrange(count_non_incr_seqs(max_len, max_part + 1) - 1)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "random: the padding is emitted as a run",
+        "partition.py",
+        "if k < m and value <= max_part:",
+        "if k < m:",
+        PARTITION_TESTS,
+    ),
+    # the CLI's positive-integer grammar
+    Mutant(
+        "_positive_int: int() reads any text, so '1_0' and '+3' pass",
+        "cli.py",
+        "value = int(text) if text.isdecimal() else 0",
+        "value = int(text)",
+        ("tests/test_cli.py",),
+    ),
+    # the shared binomial chain
+    Mutant(
+        "build: a run shares the chain of a run two values above",
+        "partition.py",
+        "below if previous == value + 1 else None",
+        "below if previous == value + 2 else None",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "recover: a block shares the chain of a block two values above",
+        "recovery.py",
+        "blocks[-1][0] == m + 2",
+        "blocks[-1][0] == m + 3",
+        ("tests/test_recovery.py",),
+    ),
+    Mutant(
+        "peel_block: Pascal's rule reads the shared chain one place on",
+        "calculus.py",
+        "below[k] - upper",
+        "below[k + 1] - upper",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: Pascal's rule subtracts the wrong way round",
+        "calculus.py",
+        "below[k] - upper",
+        "upper - below[k]",
+        ("tests/test_calculus.py",),
+    ),
+    # the integer form of Polynomial
+    Mutant(
+        "from_integers: trailing zero numerators are kept",
+        "polynomial.py",
+        "            ns.pop()",
+        "            break",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "from_newton: the top coefficient skips its Horner step",
+        "polynomial.py",
+        "range(len(acc) - 1, 0, -1)",
+        "range(len(acc) - 2, 0, -1)",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "evaluate: drops the final factor v of x = u/v",
+        "polynomial.py",
+        "return Fraction(acc * v, self.scale * power)",
+        "return Fraction(acc, self.scale * power)",
+        ("tests/test_polynomial.py",),
+    ),
+]
+
+EQUIVALENT = [
+    (
+        Mutant(
+            "random: midpoint written lo + (k - lo) // 2",
+            "partition.py",
+            "mid = (lo + k) // 2",
+            "mid = lo + (k - lo) // 2",
+            (),
+        ),
+        "Python integers do not overflow, so both give the same midpoint",
+    ),
+    (
+        Mutant(
+            "evaluate: power starts at v",
+            "polynomial.py",
+            "acc, power = 0, 1",
+            "acc, power = 0, v",
+            (),
+        ),
+        "acc and power both gain a factor v, which the Fraction cancels",
+    ),
+]
+
+
+def _apply(src: Path, mutant: Mutant) -> str | None:
+    """Write the mutant into ``src``; returns why it cannot apply, if it cannot."""
+    path = src / "hilbert_lambda" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    found = text.count(mutant.old)
+    if found != 1:
+        return f"snippet occurs {found} times in {mutant.file}, not once"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return None
+
+
+def _env(src: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _fresh_copy(scratch: Path) -> Path:
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
+    """Run ``tests`` against ``src``; returns (passed, seconds)."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    try:
+        result = subprocess.run(
+            command, cwd=ROOT, env=_env(src), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False, time.perf_counter() - start
+    return result.returncode == 0, time.perf_counter() - start
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch_dir:
+        scratch = Path(scratch_dir)
+        src = _fresh_copy(scratch)
+        imported = subprocess.run(
+            [sys.executable, "-c", "import hilbert_lambda; print(hilbert_lambda.__file__)"],
+            env=_env(src),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        if not Path(imported).is_relative_to(src):
+            print(f"error: the tests would import {imported}, not the copy under {src}")
+            return 1
+        baseline = tuple(sorted({test for mutant in MUTANTS for test in mutant.tests}))
+        passed, seconds = _pytest(src, baseline)
+        print(f"{'ok' if passed else 'FAILED':9} baseline: {' '.join(baseline)} ({seconds:.1f} s)")
+        if not passed:
+            return 1
+        for mutant, reason in EQUIVALENT:
+            problem = _apply(_fresh_copy(scratch), mutant)
+            failures += problem is not None
+            print(f"{'STALE' if problem else 'skipped':9} {mutant.name}: {problem or 'equivalent, ' + reason}")
+        for mutant in MUTANTS:
+            src = _fresh_copy(scratch)
+            problem = _apply(src, mutant)
+            if problem:
+                failures += 1
+                print(f"{'STALE':9} {mutant.name}: {problem}")
+                continue
+            passed, seconds = _pytest(src, mutant.tests)
+            failures += passed
+            verdict = "SURVIVED" if passed else "killed" if seconds < TIMEOUT_S else "timeout"
+            print(f"{verdict:9} {mutant.name} ({seconds:.1f} s)")
+    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {failures} failing")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

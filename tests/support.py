@@ -265,7 +265,7 @@ def shifted_hilbert_poly(rng) -> Polynomial:
     is integer-valued yet not generated by any partition.
     """
     lam = random_partition(5, 5, rng)
-    ones = sum(1 for part in lam.parts if part == 1)
+    ones = dict(lam.pairs).get(1, 0)
     shift = ones + rng.randint(1, 5)
     coeffs = list(build_hilbert(lam).coeffs) or [Fraction(0)]
     coeffs[0] -= shift

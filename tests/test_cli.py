@@ -8,7 +8,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import hilbert_lambda.cli as cli
-from hilbert_lambda.partition import build_hilbert, format_partition
+from hilbert_lambda.partition import ExponentForm, build_hilbert, format_partition
 from hilbert_lambda.polynomial import format_polynomial
 from hilbert_lambda.recovery import recover_delta
 from support import RECOVER_SCHEMA, run_cli
@@ -352,6 +352,37 @@ def test_random_json(monkeypatch, capsys):
     assert doc["lambda_flat"]
 
 
+def test_random_keeps_its_seeded_draws(monkeypatch, capsys):
+    # pinned from the flat sampler that the run-length unranking replaced
+    code, out, err = run_cli(monkeypatch, capsys, ["random", "6", "6", "--seed", "5"])
+    assert (code, err) == (0, "")
+    assert out == "λ = (6,5,4,3,1^2)\np = 1/120*x^5 + 1/6*x^4 + 9/8*x^3 + 17/6*x^2 + 13/15*x + 4\n"
+    code, out, err = run_cli(monkeypatch, capsys, ["random", "2", "2", "--seed", "7", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == '{"lambda_flat": [2, 2], "lambda_exp": [[2, 2]], "polynomial": "2*x + 1"}\n'
+
+
+def test_random_draws_runs_without_expanding(monkeypatch, capsys):
+    argv = ["random", "2", "1000000000000", "--seed", "1", "--format", "json"]
+    code, out, _ = run_cli(monkeypatch, capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    form = ExponentForm(tuple(map(tuple, doc["lambda_exp"])))
+    assert doc["lambda_flat"] is None
+    parts = sum(mult for _, mult in form.pairs)
+    assert 100_000 < parts <= 10**12
+    assert doc["warnings"] == [f"partition has {parts} parts; lambda_flat suppressed, see lambda_exp"]
+    assert doc["polynomial"] == format_polynomial(build_hilbert(form))
+
+
+def test_random_max_len_past_sys_maxsize(monkeypatch, capsys):
+    # lengths are bisected without range(), whose size stops at sys.maxsize
+    code, out, err = run_cli(monkeypatch, capsys, ["random", "2", str(2**63), "--seed", "1"])
+    assert (code, err) == (0, "")
+    lam_line, p_line = out.splitlines()
+    assert lam_line.startswith("λ = (2^") and p_line.startswith("p = ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -368,11 +399,15 @@ def test_random_json(monkeypatch, capsys):
         ["check", "1", "--verbose"],
         ["check", "1", "--ambient", "1"],
         ["check", "1", "--format", "json"],
+        ["random", "abc", "2"],
+        ["random", "1_0", "2"],
+        ["recover", "1", "--ambient", "+3"],
     ],
 )
 def test_usage_errors_exit_2(monkeypatch, capsys, argv):
-    code, _, _ = run_cli(monkeypatch, capsys, argv)
+    code, _, err = run_cli(monkeypatch, capsys, argv)
     assert code == 2
+    assert "_positive_int" not in err
 
 
 def test_cli_round_trip_through_text(monkeypatch, capsys, partitions_251):

@@ -16,7 +16,6 @@ from hilbert_lambda.partition import (
     NotNonIncreasingError,
     Partition,
     PartitionSyntaxError,
-    _unrank_seq,
     build_hilbert,
     count_non_incr_seqs,
     format_partition,
@@ -173,7 +172,7 @@ def test_build_hilbert_degree_and_leading_sign():
     for _ in range(100):
         lam = random_partition(7, 7, rng)
         p = build_hilbert(lam)
-        assert p.degree() == lam.parts[0] - 1
+        assert p.degree() == lam.pairs[0][0] - 1
         assert p.coeffs[-1] > 0
 
 
@@ -249,16 +248,33 @@ def test_count_non_incr_seqs_closed_form():
     assert sum(count_non_incr_seqs(m, 4) for m in range(1, 5)) == 69
 
 
-def test_unrank_agrees_with_enumeration_order():
-    for m, n in [(1, 4), (2, 3), (3, 3), (4, 2)]:
-        expected = list(non_incr_seqs(m, n))
-        ranked = [_unrank_seq(m, n, i) for i in range(count_non_incr_seqs(m, n))]
-        assert ranked == expected
+class _IndexRng:
+    """Stands in for random.Random: checks the one randrange bound and
+    returns a chosen index."""
+
+    def __init__(self, total: int, index: int):
+        self.total, self.index = total, index
+
+    def randrange(self, stop: int) -> int:
+        assert stop == self.total
+        return self.index
 
 
-def test_unrank_rejects_out_of_range_index():
-    with pytest.raises(ValueError):
-        _unrank_seq(2, 2, 3)
+def test_random_partition_unranks_every_index_in_enumeration_order():
+    # index i is the i-th partition with lengths ascending, each length in
+    # non_incr_seqs order; the rng is asked for exactly the set's size
+    for max_part in range(1, 7):
+        for max_len in range(1, 7):
+            expected = [
+                to_exponent_form(Partition(seq))
+                for m in range(1, max_len + 1)
+                for seq in non_incr_seqs(m, max_part)
+            ]
+            drawn = [
+                random_partition(max_part, max_len, _IndexRng(len(expected), index))
+                for index in range(len(expected))
+            ]
+            assert drawn == expected, (max_part, max_len)
 
 
 def test_random_partition_is_seed_deterministic():
@@ -274,19 +290,19 @@ def test_random_partition_respects_bounds():
     rng = random.Random(3)
     for _ in range(500):
         lam = random_partition(4, 3, rng)
-        assert lam.parts
-        assert lam.parts[0] <= 4
-        assert len(lam) <= 3
+        assert lam.pairs
+        assert lam.pairs[0][0] <= 4
+        assert sum(mult for _, mult in lam.pairs) <= 3
 
 
 def test_random_partition_support_single_length():
     rng = random.Random(0)
     seen = {random_partition(2, 1, rng) for _ in range(100)}
-    assert seen == {Partition((1,)), Partition((2,))}
+    assert seen == {ExponentForm(((1, 1),)), ExponentForm(((2, 1),))}
 
 
 def test_random_partition_single_candidate():
-    assert random_partition(1, 1, random.Random(1)) == Partition((1,))
+    assert random_partition(1, 1, random.Random(1)) == ExponentForm(((1, 1),))
 
 
 def test_random_partition_is_uniform_over_enumerated_set():
