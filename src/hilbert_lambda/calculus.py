@@ -4,7 +4,9 @@ The engines hold a polynomial as its integer coefficients a_k = Δ^k p(0)
 in the basis C(x, k); :func:`peel_block` subtracts one block of equal
 parts from them in place, in O(v) integer operations, and returns the
 binomial chain that the block below reuses, by Pascal's rule, when its
-value is one less.
+value is one less.  A block of one part is a single binomial term whose
+coefficients are that chain alone, so it walks only that chain, and by
+subtractions alone when the block above hands its chain down.
 :class:`Sequence`, :func:`delta` and :func:`reduce` difference a finite
 window of samples f(0), ..., f(k-1) directly: the reference route to the
 same degrees and leading coefficients, kept for tests and demos.
@@ -137,10 +139,30 @@ def peel_block(a: list[int], v: int, start: int, end: int, below: list[int] | No
     start - 1.  Its chain is then C(top + 1, 1..v + 1), and Pascal's rule
     C(top, k + 1) = C(top + 1, k + 1) - C(top, k) gives the upper chain by
     subtractions, so only the lower chain is multiplied out.
+
+    A block of one part (end == start) is the single term
+    C(x + v - start, v - 1), whose coefficients are its lower chain:
+    a[v - 1 - k] -= C(bottom, k) for k = 0..v-1, as top == bottom + 1.
+    Without ``below`` only that chain is multiplied out.  With it, Pascal's
+    rule steps twice, C(bottom, k + 1) = C(top, k + 1) - C(bottom, k), and
+    the peel takes subtractions only.
     """
     chain = []
     upper = lower = 1
     top, bottom = v - start + 1, v - end
+    if end == start:
+        if below is None:
+            for k in range(v):
+                a[v - 1 - k] -= lower
+                lower = lower * (bottom - k) // (k + 1)
+                chain.append(lower)
+        else:
+            for k in range(v):
+                a[v - 1 - k] -= lower
+                upper = below[k] - upper
+                lower = upper - lower
+                chain.append(lower)
+        return chain
     for k in range(v):
         # exact: C(c, k) * (c - k) == (k + 1) * C(c, k + 1), for any integer c
         upper = upper * (top - k) // (k + 1) if below is None else below[k] - upper

@@ -9,6 +9,8 @@ decided as a batch of one.
 
 Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage, parse or other
 error.  Batch mode reports errors per line and exits with the worst code.
+The console script and ``python -m`` take the default SIGPIPE action, so a
+reader that closes the pipe early ends them quietly (shell status 141).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import signal
 import sys
 from typing import Callable
 
@@ -24,13 +27,24 @@ from .polynomial import PolynomialSyntaxError, format_polynomial, format_rationa
 from .recovery import Outcome, Success, recover_delta
 
 
-def _positive_int(text: str) -> int:
-    try:  # decimal digits only, as in partition text: int() also reads "1_0" and "+3"
-        value = int(text) if text.isdecimal() else 0
+def _digits(text: str) -> int | None:
+    try:  # decimal digits only, as in partition text: int() also reads "1_0", "+3" and "-1"
+        return int(text) if text.isdecimal() else None
     except ValueError:  # past the int-to-str digit limit
-        value = 0
-    if value < 1:
+        return None
+
+
+def _positive_int(text: str) -> int:
+    value = _digits(text)
+    if not value:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _digits(text)
+    if value is None:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -43,7 +57,7 @@ _OPTIONS = {
     },
     "--verbose": {"action": "store_true", "help": "include the per-round recovery trace"},
     "--format": {"choices": ("text", "json"), "default": "text", "help": "output format (default: text)"},
-    "--seed": {"type": int, "default": None, "metavar": "S", "help": "random seed (default: unseeded)"},
+    "--seed": {"type": _seed, "default": None, "metavar": "S", "help": "random seed (default: unseeded)"},
 }
 
 
@@ -105,6 +119,9 @@ def _error_text(exc: Exception) -> str:
 
 
 def run() -> None:
+    """Entry point of the console script and ``python -m``."""
+    if hasattr(signal, "SIGPIPE"):  # a reader that closes stdout early ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main(sys.argv[1:]))
 
 

@@ -133,7 +133,10 @@ def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
     run of equal parts, also of an :class:`ExponentForm`, is peeled off zeros
     in the basis C(x, k) in O(value) integer operations, whatever its size,
     and the sum is negated once at the end.  A run whose value is one below
-    the run above reuses that run's binomial chain.
+    the run above reuses that run's binomial chain.  A run of one part is a
+    single binomial term and walks one chain only: a partition into distinct
+    consecutive parts, such as a staircase, builds by subtractions alone
+    after its first part.
     """
     pairs = partition.pairs if isinstance(partition, ExponentForm) else _runs(partition.parts)
     a = [0] * (pairs[0][0] if pairs else 0)

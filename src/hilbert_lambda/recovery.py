@@ -7,7 +7,9 @@ place (:func:`hilbert_lambda.calculus.peel_block`) in O(m) integer
 operations, so a decision costs O(n^2) of them; the loop ends when every
 a_k is zero.  A block of degree one below the previous block's reuses the
 lower binomial chain of that peel, so it multiplies out one chain, not
-two.  ``recover_naive`` searches candidate partitions in descending
+two.  A block of one part needs only its own lower chain, so it
+multiplies out that one chain, or none when the block above hands its
+chain down.  ``recover_naive`` searches candidate partitions in descending
 lexicographic order and compares values on enough sample points to pin
 the polynomial down.  Both return
 ``Success`` with the partition or ``NotHilbert`` with a structured reason.

@@ -88,12 +88,12 @@ MUTANTS = [
         "if k < m:",
         PARTITION_TESTS,
     ),
-    # the CLI's positive-integer grammar
+    # the CLI's decimal-integer grammar
     Mutant(
-        "_positive_int: int() reads any text, so '1_0' and '+3' pass",
+        "_digits: int() reads any text, so '1_0' and '+3' pass",
         "cli.py",
-        "value = int(text) if text.isdecimal() else 0",
-        "value = int(text)",
+        "return int(text) if text.isdecimal() else None",
+        "return int(text)",
         ("tests/test_cli.py",),
     ),
     # the shared binomial chain
@@ -114,15 +114,57 @@ MUTANTS = [
     Mutant(
         "peel_block: Pascal's rule reads the shared chain one place on",
         "calculus.py",
-        "below[k] - upper",
-        "below[k + 1] - upper",
+        "else below[k] - upper",
+        "else below[k + 1] - upper",
         ("tests/test_calculus.py",),
     ),
     Mutant(
         "peel_block: Pascal's rule subtracts the wrong way round",
         "calculus.py",
-        "below[k] - upper",
-        "upper - below[k]",
+        "else below[k] - upper",
+        "else upper - below[k]",
+        ("tests/test_calculus.py",),
+    ),
+    # peel_block's one-part blocks
+    Mutant(
+        "peel_block: the empty span takes the one-part path",
+        "calculus.py",
+        "if end == start:",
+        "if end <= start:",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: one part's first Pascal step reads the shared chain one place on",
+        "calculus.py",
+        "upper = below[k] - upper",
+        "upper = below[k + 1] - upper",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: the second Pascal step subtracts the wrong way round",
+        "calculus.py",
+        "lower = upper - lower",
+        "lower = lower - upper",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: one part subtracts after its own chain advances",
+        "calculus.py",
+        "                a[v - 1 - k] -= lower\n"
+        "                lower = lower * (bottom - k) // (k + 1)\n",
+        "                lower = lower * (bottom - k) // (k + 1)\n"
+        "                a[v - 1 - k] -= lower\n",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: one part subtracts after the shared chain advances",
+        "calculus.py",
+        "                a[v - 1 - k] -= lower\n"
+        "                upper = below[k] - upper\n"
+        "                lower = upper - lower\n",
+        "                upper = below[k] - upper\n"
+        "                lower = upper - lower\n"
+        "                a[v - 1 - k] -= lower\n",
         ("tests/test_calculus.py",),
     ),
     # the integer form of Polynomial

@@ -212,6 +212,40 @@ def test_peel_block_shared_chain_matches_the_two_chain_walk():
             start, previous, below = end + 1, v, chain
 
 
+def test_peel_block_single_parts_match_the_two_chain_walk():
+    # long runs of one-part blocks, with the chain handed down (adjacent
+    # values) and without it (gaps), from starts up to 10**30, where v - start
+    # is hugely negative; an empty span in between must subtract nothing
+    rng = random.Random(12)
+    for first in (1, 2, 50, 10**6, 10**30 - 7, 10**30):
+        for steps in ([1], [2, 3], [1, 1, 1, 2]):
+            value, runs = rng.randint(30, 60), []
+            while value >= 1:
+                runs.append((value, 0 if rng.random() < 0.1 else 1))
+                value -= rng.choice(steps)
+            a = [rng.randint(-(10**6), 10**6) for _ in range(runs[0][0])]
+            reference = list(a)
+            start, previous, below = first, None, None
+            for v, multiplicity in runs:
+                end = start + multiplicity - 1
+                before = list(a)
+                chain = peel_block(a, v, start, end, below if previous == v + 1 else None)
+                assert chain == two_chain_peel(reference, v, start, end), (first, runs)
+                assert a == reference, (first, runs)
+                assert chain == [binomial_seq_value(k, v - end) for k in range(1, v + 1)], (first, runs)
+                # one part is the single term C(x + v - start, v - 1)
+                term = [binomial_seq_value(k, v - start) for k in range(v)] if multiplicity else [0] * v
+                assert [before[v - 1 - k] - a[v - 1 - k] for k in range(v)] == term, (first, runs)
+                start, previous, below = end + 1, v, chain
+
+
+def test_staircases_round_trip():
+    # every block of a staircase is one part, and each hands its chain down
+    for d in range(1, 121):
+        form = ExponentForm(tuple((v, 1) for v in range(d, 0, -1)))
+        assert recover_delta(build_hilbert(form)) == Success(form), d
+
+
 def test_build_and_recover_share_chains_only_between_adjacent_values():
     # both callers decide when to pass the chain on; a gap of 2 must not share
     rng = random.Random(11)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import signal
 import subprocess
 import sys
 
@@ -8,7 +10,13 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import hilbert_lambda.cli as cli
-from hilbert_lambda.partition import ExponentForm, build_hilbert, format_partition
+from hilbert_lambda.partition import (
+    ExponentForm,
+    build_hilbert,
+    format_exponent_form,
+    format_partition,
+    random_partition,
+)
 from hilbert_lambda.polynomial import format_polynomial
 from hilbert_lambda.recovery import recover_delta
 from support import RECOVER_SCHEMA, run_cli
@@ -383,6 +391,19 @@ def test_random_max_len_past_sys_maxsize(monkeypatch, capsys):
     assert lam_line.startswith("λ = (2^") and p_line.startswith("p = ")
 
 
+def test_seed_zero_is_a_seed(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys, ["random", "6", "6", "--seed", "0"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"λ = {format_exponent_form(random_partition(6, 6, random.Random(0)))}"
+
+
+@pytest.mark.parametrize("seed", ["1_0", "+3", "-1", "abc", "", "1.0"])
+def test_seed_takes_decimal_digits_only(monkeypatch, capsys, seed):
+    code, out, err = run_cli(monkeypatch, capsys, ["random", "2", "2", "--seed", seed])
+    assert (code, out) == (2, "")
+    assert "--seed: must be a non-negative integer" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -427,3 +448,21 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "λ = (2^3,1)\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_entry_point_ends_quietly_when_its_reader_goes(tmp_path):
+    # 3000 JSON lines overflow the pipe buffer, so the writer is still
+    # writing when the reader closes the pipe
+    batch = tmp_path / "batch.txt"
+    batch.write_text("3*x + 1\n" * 3000)
+    command = [sys.executable, "-m", "hilbert_lambda", "recover", "--format", "json"]
+    with batch.open() as stdin, subprocess.Popen(
+        command, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert json.loads(first)["lambda_exp"] == [[2, 3], [1, 1]]
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
