@@ -23,7 +23,7 @@ import sys
 from typing import Callable
 
 from .partition import build_hilbert, format_exponent_form, parse_partition, random_partition
-from .polynomial import PolynomialSyntaxError, format_polynomial, format_rational, parse_polynomial
+from .polynomial import PolynomialSyntaxError, digit_limit_text, format_polynomial, format_rational, parse_polynomial
 from .recovery import Outcome, Success, recover_delta
 
 
@@ -31,7 +31,7 @@ def _digits(text: str) -> int | None:
     try:  # decimal digits only, as in partition text: int() also reads "1_0", "+3" and "-1"
         return int(text) if text.isdecimal() else None
     except ValueError:  # past the int-to-str digit limit
-        return None
+        raise argparse.ArgumentTypeError(digit_limit_text(text)) from None
 
 
 def _positive_int(text: str) -> int:

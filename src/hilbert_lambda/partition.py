@@ -9,9 +9,9 @@ this shape are Hilbert polynomials, and the generating partition is
 unique; the recovery engines in :mod:`hilbert_lambda.recovery` invert the
 construction.  Both directions share integer coefficients in the basis
 C(x, k) and the in-place block peel
-(:func:`hilbert_lambda.calculus.peel_block`), which passes each run's
-binomial chain on to a run of value one less.  The build reads the runs
-straight off a :class:`Partition` or an :class:`ExponentForm`.
+(:func:`hilbert_lambda.calculus.peel_block`), each peel handed the one
+above it so that it can reuse that binomial chain.  The build reads the
+runs straight off a :class:`Partition` or an :class:`ExponentForm`.
 
 Multiplicities can be astronomically large, so partition text is parsed,
 and a random partition drawn, straight into an :class:`ExponentForm`, and
@@ -31,7 +31,7 @@ from operator import neg
 from typing import Iterator
 
 from .calculus import binomial_seq_value, peel_block
-from .polynomial import Polynomial, from_newton
+from .polynomial import Polynomial, digit_limit_text, from_newton
 
 
 class NonPositivePartError(ValueError):
@@ -132,19 +132,18 @@ def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
     non-empty partition yields degree a_1 - 1 and the empty one zero.  Each
     run of equal parts, also of an :class:`ExponentForm`, is peeled off zeros
     in the basis C(x, k) in O(value) integer operations, whatever its size,
-    and the sum is negated once at the end.  A run whose value is one below
-    the run above reuses that run's binomial chain.  A run of one part is a
-    single binomial term and walks one chain only: a partition into distinct
-    consecutive parts, such as a staircase, builds by subtractions alone
-    after its first part.
+    and the sum is negated once at the end.  Each peel is handed the one
+    above it and reuses that binomial chain where it can.  A run of one
+    part is a single binomial term and walks one chain only: a partition
+    into distinct consecutive parts, such as a staircase, builds by
+    subtractions alone after its first part.
     """
     pairs = partition.pairs if isinstance(partition, ExponentForm) else _runs(partition.parts)
     a = [0] * (pairs[0][0] if pairs else 0)
-    start, previous, below = 1, None, None
+    start, above = 1, None
     for value, multiplicity in pairs:
-        end = start + multiplicity - 1
-        below = peel_block(a, value, start, end, below if previous == value + 1 else None)
-        start, previous = end + 1, value
+        above = peel_block(a, value, start, start + multiplicity - 1, above)
+        start += multiplicity
     return from_newton([-b for b in a])
 
 
@@ -250,12 +249,12 @@ def parse_partition(text: str) -> ExponentForm:
 
 
 def _parse_int(text: str) -> int:
-    if _INT.fullmatch(text):  # int() also reads "1_0" and "+3"
-        try:
-            return int(text)
-        except ValueError:  # past the int-to-str digit limit
-            pass
-    raise PartitionSyntaxError(f"expected an integer, found {text!r}")
+    if not _INT.fullmatch(text):  # int() also reads "1_0" and "+3"
+        raise PartitionSyntaxError(f"expected an integer, found {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the int-to-str digit limit
+        raise PartitionSyntaxError(digit_limit_text(text)) from None
 
 
 _INT = re.compile(r"-?\d+")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -152,6 +153,11 @@ def from_newton(a: list[int]) -> Polynomial:
     return Polynomial.from_integers(scale, acc)
 
 
+def digit_limit_text(digits: str) -> str:
+    """Why ``int`` refused decimal digits (after an optional "-"): the int-to-str digit limit."""
+    return f"{len(digits.lstrip('-'))}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical text for an exact rational: "a/b", with "/b" omitted when b is 1."""
     if q.denominator == 1:
@@ -228,7 +234,10 @@ def parse_polynomial(text: str) -> Polynomial:
             raise PolynomialSyntaxError(f"expected a term, found {text[at]!r}", at)
         if neg and not digits:
             raise PolynomialSyntaxError("expected digits", m.end("neg"))
-        numerator = int(digits) if digits else 1
+        try:  # int() refuses decimal digits only past the digit limit
+            numerator = int(digits) if digits else 1
+        except ValueError:
+            raise PolynomialSyntaxError(digit_limit_text(digits), m.start("int")) from None
         if (sign == "-") != (neg is not None):  # one minus sign, not two
             numerator = -numerator
         denominator = 1 if den is None else _denominator(m, "den")
@@ -252,7 +261,10 @@ def parse_polynomial(text: str) -> Polynomial:
 def _uint(m: re.Match, group: str) -> int:
     if not m[group]:
         raise PolynomialSyntaxError("expected digits", m.start(group))
-    return int(m[group])
+    try:
+        return int(m[group])
+    except ValueError:
+        raise PolynomialSyntaxError(digit_limit_text(m[group]), m.start(group)) from None
 
 
 def _denominator(m: re.Match, group: str) -> int:

@@ -5,14 +5,13 @@ a_k = Δ^k p(0) in the basis C(x, k): each round's block of equal parts,
 degree m and multiplicity r, is the top nonzero a_m and is peeled off in
 place (:func:`hilbert_lambda.calculus.peel_block`) in O(m) integer
 operations, so a decision costs O(n^2) of them; the loop ends when every
-a_k is zero.  A block of degree one below the previous block's reuses the
-lower binomial chain of that peel, so it multiplies out one chain, not
-two.  A block of one part needs only its own lower chain, so it
-multiplies out that one chain, or none when the block above hands its
-chain down.  ``recover_naive`` searches candidate partitions in descending
+a_k is zero.  Each peel is handed the previous one's result and reuses
+that binomial chain where it can, so it multiplies out one chain, not
+two; a block of one part multiplies out at most its own lower chain.
+``recover_naive`` searches candidate partitions in descending
 lexicographic order and compares values on enough sample points to pin
-the polynomial down.  Both return
-``Success`` with the partition or ``NotHilbert`` with a structured reason.
+the polynomial down.  Both return ``Success`` with the partition or
+``NotHilbert`` with a structured reason.
 
 Success carries the partition in run-length form.  Innocent-looking
 inputs decide to polynomials of partitions with astronomically many
@@ -149,9 +148,8 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
     a = [value // scale for value in a]
     blocks: list[tuple[int, int]] = []
     trace: list[TraceStep] = []
-    start, m, below = 1, n, None
-    # block degrees strictly decrease, so at most n + 1 subtraction
-    # rounds plus one final zero check
+    start, m, above = 1, n, None
+    # block degrees strictly decrease: at most n + 1 rounds and a final zero check
     for _ in range(n + 2):
         while m >= 0 and a[m] == 0:
             m -= 1
@@ -164,8 +162,7 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
                 trace=tuple(trace) if want_trace else None,
             )
         end = start + r - 1
-        # the block above has value m + 2 exactly when its chain feeds this one
-        below = peel_block(a, m + 1, start, end, below if blocks and blocks[-1][0] == m + 2 else None)
+        above = peel_block(a, m + 1, start, end, above)
         blocks.append((m + 1, r))
         if want_trace:
             trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=_residual_window(a)))
@@ -193,10 +190,9 @@ def recover_naive(p: Polynomial, r_max: int) -> Outcome:
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    degree = p.degree()
-    if degree is None:
+    n = p.degree()
+    if n is None:
         return Success(ExponentForm(), warnings=("zero polynomial: empty partition by convention",))
-    n = degree
     window = sample_points(p, n)
     if not is_integer_sequence(window):
         return NotHilbert(NonIntegerValued())

@@ -96,20 +96,20 @@ MUTANTS = [
         "return int(text)",
         ("tests/test_cli.py",),
     ),
-    # the shared binomial chain
+    # the shared binomial chain, which peel_block alone decides to reuse
     Mutant(
-        "build: a run shares the chain of a run two values above",
-        "partition.py",
-        "below if previous == value + 1 else None",
-        "below if previous == value + 2 else None",
-        PARTITION_TESTS,
+        "peel_block: reuses the chain of a block two values above",
+        "calculus.py",
+        "above[0] == v + 1",
+        "above[0] == v + 2",
+        ("tests/test_calculus.py",),
     ),
     Mutant(
-        "recover: a block shares the chain of a block two values above",
-        "recovery.py",
-        "blocks[-1][0] == m + 2",
-        "blocks[-1][0] == m + 3",
-        ("tests/test_recovery.py",),
+        "peel_block: reuses the chain of any block of a greater value",
+        "calculus.py",
+        "above[0] == v + 1",
+        "above[0] >= v + 1",
+        ("tests/test_calculus.py",),
     ),
     Mutant(
         "peel_block: Pascal's rule reads the shared chain one place on",
@@ -165,6 +165,22 @@ MUTANTS = [
         "                upper = below[k] - upper\n"
         "                lower = upper - lower\n"
         "                a[v - 1 - k] -= lower\n",
+        ("tests/test_calculus.py",),
+    ),
+    # numbers past the int-to-str digit limit
+    Mutant(
+        "_uint: a polynomial literal past the digit limit loses its column",
+        "polynomial.py",
+        "raise PolynomialSyntaxError(digit_limit_text(m[group]), m.start(group)) from None",
+        "raise",
+        ("tests/test_polynomial.py",),
+    ),
+    # the reference window
+    Mutant(
+        "Sequence: an empty window is accepted",
+        "calculus.py",
+        "        if not self:\n            raise ValueError",
+        "        if False:\n            raise ValueError",
         ("tests/test_calculus.py",),
     ),
     # the integer form of Polynomial

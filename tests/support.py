@@ -11,6 +11,8 @@ import sys
 from fractions import Fraction
 from typing import Iterator
 
+import pytest
+
 from hilbert_lambda import (
     ExponentForm,
     NegativeLeadingMultiplicity,
@@ -21,6 +23,7 @@ from hilbert_lambda import (
     Polynomial,
     Success,
     TraceStep,
+    binomial_seq_value,
     build_hilbert,
     non_incr_seqs,
     random_partition,
@@ -30,6 +33,18 @@ from hilbert_lambda import (
 )
 from hilbert_lambda.cli import main
 from hilbert_lambda.polynomial import DenominatorZeroError, PolynomialSyntaxError
+
+
+# CPython 3.11 (and 3.10.7) limits int <-> decimal text to 4 300 digits by default
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="no int-to-str digit limit in this interpreter",
+)
+
+
+def past_digit_limit(digits: int) -> str:
+    """The message for a number of ``digits`` digits past the interpreter's limit."""
+    return f"{digits}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
 
 
 def all_partitions(max_part: int, max_len: int) -> Iterator[Partition]:
@@ -230,6 +245,19 @@ def two_chain_peel(a: list[int], v: int, start: int, end: int) -> list[int]:
         chain.append(lower)
         a[v - 1 - k] -= upper - lower
     return chain
+
+
+def telescoped_value(form: ExponentForm, x: int) -> int:
+    """Value at integer ``x`` of the polynomial that ``form`` generates,
+    without ``peel_block``: by Pascal's rule the run of value v over parts
+    s..e sums to C(x + v - s + 1, v) - C(x + v - e, v), two falling-factorial
+    values whatever the run's length."""
+    total, start = 0, 1
+    for v, multiplicity in form.pairs:
+        end = start + multiplicity - 1
+        total += binomial_seq_value(v, x + v - start + 1) - binomial_seq_value(v, x + v - end)
+        start = end + 1
+    return total
 
 
 def fraction_horner(p: Polynomial, x: Fraction) -> Fraction:

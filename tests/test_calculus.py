@@ -31,9 +31,19 @@ def test_sequence_coerces_to_fractions():
     assert all(isinstance(v, Fraction) for v in s)
 
 
+def test_sequence_is_a_tuple_of_fractions():
+    s = Sequence([1, Fraction(1, 2), 3])
+    assert s == (1, Fraction(1, 2), 3) and hash(s) == hash((Fraction(1), Fraction(1, 2), Fraction(3)))
+    assert s == Sequence([Fraction(2, 2), Fraction(1, 2), 3]) and s != Sequence([1, 2, 3])
+    assert (s[-1], s[1:], len(s)) == (3, (Fraction(1, 2), 3), 3)
+    assert type(s.values) is tuple and type(s.window()) is tuple and s.values == s.window() == tuple(s)
+    assert repr(s) == "Sequence([Fraction(1, 1), Fraction(1, 2), Fraction(3, 1)])"
+
+
 def test_sequence_requires_at_least_one_value():
-    with pytest.raises(ValueError):
-        Sequence([])
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError):
+            Sequence(empty)
 
 
 def test_delta_adjacent_differences():
@@ -202,14 +212,14 @@ def test_peel_block_shared_chain_matches_the_two_chain_walk():
     for runs in _block_sequences(rng):
         a = [rng.randint(-1000, 1000) for _ in range(runs[0][0])]
         reference = list(a)
-        start, previous, below = 1, None, None
+        start, above = 1, None
         for v, multiplicity in runs:
             end = start + multiplicity - 1
-            chain = peel_block(a, v, start, end, below if previous == v + 1 else None)
-            assert chain == two_chain_peel(reference, v, start, end), runs
+            above = peel_block(a, v, start, end, above)
+            assert above == (v, two_chain_peel(reference, v, start, end)), runs
             assert a == reference, runs
-            assert chain == [binomial_seq_value(k, v - end) for k in range(1, v + 1)], runs
-            start, previous, below = end + 1, v, chain
+            assert above[1] == [binomial_seq_value(k, v - end) for k in range(1, v + 1)], runs
+            start = end + 1
 
 
 def test_peel_block_single_parts_match_the_two_chain_walk():
@@ -225,18 +235,37 @@ def test_peel_block_single_parts_match_the_two_chain_walk():
                 value -= rng.choice(steps)
             a = [rng.randint(-(10**6), 10**6) for _ in range(runs[0][0])]
             reference = list(a)
-            start, previous, below = first, None, None
+            start, above = first, None
             for v, multiplicity in runs:
                 end = start + multiplicity - 1
                 before = list(a)
-                chain = peel_block(a, v, start, end, below if previous == v + 1 else None)
-                assert chain == two_chain_peel(reference, v, start, end), (first, runs)
+                above = peel_block(a, v, start, end, above)
+                assert above == (v, two_chain_peel(reference, v, start, end)), (first, runs)
                 assert a == reference, (first, runs)
-                assert chain == [binomial_seq_value(k, v - end) for k in range(1, v + 1)], (first, runs)
+                assert above[1] == [binomial_seq_value(k, v - end) for k in range(1, v + 1)], (first, runs)
                 # one part is the single term C(x + v - start, v - 1)
                 term = [binomial_seq_value(k, v - start) for k in range(v)] if multiplicity else [0] * v
                 assert [before[v - 1 - k] - a[v - 1 - k] for k in range(v)] == term, (first, runs)
-                start, previous, below = end + 1, v, chain
+                start = end + 1
+
+
+def test_peel_block_ignores_a_chain_not_one_value_up():
+    # peel_block alone decides whether to reuse the chain above: a real peel
+    # two values up, and results of other values whose chains would corrupt
+    # the walk if read, must leave every span kind equal to the two-chain walk
+    rng = random.Random(13)
+    for _ in range(150):
+        v, start = rng.randint(1, 30), rng.randint(1, 60)
+        up = rng.randint(1, start)  # the block two values up spans [up, start - 1]
+        two_up = peel_block([0] * (v + 2), v + 2, up, start - 1)
+        garbage = [rng.randint(-(10**9), 10**9) for _ in range(v + 3)]
+        aboves = [two_up, (v + 2, garbage), (v + 3, garbage), (v, garbage), (v - 1, garbage)]
+        for end in (start - 1, start, start + rng.randint(1, 10**6), start + 10**40):
+            for above in aboves:
+                a = [rng.randint(-1000, 1000) for _ in range(v)]
+                reference = list(a)
+                assert peel_block(a, v, start, end, above) == (v, two_chain_peel(reference, v, start, end))
+                assert a == reference, (v, start, end, above[0])
 
 
 def test_staircases_round_trip():
@@ -247,7 +276,8 @@ def test_staircases_round_trip():
 
 
 def test_build_and_recover_share_chains_only_between_adjacent_values():
-    # both callers decide when to pass the chain on; a gap of 2 must not share
+    # both callers hand every peel on to the next; across a gap of 2 the
+    # chain must not be reused
     rng = random.Random(11)
     for runs in _block_sequences(rng):
         form = ExponentForm(tuple((v, r) for v, r in runs if r))

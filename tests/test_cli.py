@@ -19,7 +19,7 @@ from hilbert_lambda.partition import (
 )
 from hilbert_lambda.polynomial import format_polynomial
 from hilbert_lambda.recovery import recover_delta
-from support import RECOVER_SCHEMA, run_cli
+from support import RECOVER_SCHEMA, needs_digit_limit, past_digit_limit, run_cli
 
 validator = Draft202012Validator(RECOVER_SCHEMA)
 
@@ -202,13 +202,6 @@ def test_batch_parse_error_line_json(monkeypatch, capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc == {"input": "x +", "error": "expected a term at column 3"}
-
-
-# answers and literals over 4 300 digits raise under CPython's int-to-str limit
-needs_digit_limit = pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-    reason="no int-to-str digit limit in this interpreter",
-)
 
 
 @needs_digit_limit
@@ -402,6 +395,28 @@ def test_seed_takes_decimal_digits_only(monkeypatch, capsys, seed):
     code, out, err = run_cli(monkeypatch, capsys, ["random", "2", "2", "--seed", seed])
     assert (code, out) == (2, "")
     assert "--seed: must be a non-negative integer" in err
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["random", "2", "2", "--seed", "1" * 5000], "argument --seed: "),
+        (["random", "2", "1" * 5000], "argument max_len: "),
+        (["build", f"(1^{'1' * 5000})"], "error: "),
+        (["recover", f"x^{'1' * 5000}"], "error: "),
+    ],
+)
+def test_numbers_past_the_digit_limit_say_so(monkeypatch, capsys, argv, where):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(monkeypatch, capsys, argv)
+    assert (code, out) == (2, "")
+    assert where + past_digit_limit(5000) in err
+    assert "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == limit
+    if argv[0] == "recover":  # polynomial text gets its column and caret
+        assert err.splitlines()[0].endswith("at column 2")
+        assert err.splitlines()[2] == "    ^"
 
 
 @pytest.mark.parametrize(

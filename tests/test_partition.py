@@ -27,7 +27,7 @@ from hilbert_lambda.partition import (
     to_exponent_form,
 )
 from hilbert_lambda.polynomial import Polynomial, format_polynomial
-from support import falling_binom_coeffs
+from support import falling_binom_coeffs, needs_digit_limit, past_digit_limit
 
 partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
@@ -134,6 +134,14 @@ def test_parse_partition_rejects_bad_text():
     for text in ("(1_0)", "(+3)", "(2^+1)"):
         with pytest.raises(PartitionSyntaxError):
             parse_partition(text)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text", ["(1^{})", "({})", "[-{}]", "(2,1^{})"])
+def test_parse_partition_numbers_past_the_digit_limit(text):
+    with pytest.raises(PartitionSyntaxError) as info:
+        parse_partition(text.format("1" * 5000))
+    assert str(info.value) == past_digit_limit(5000)
 
 
 def test_parse_partition_rejects_invalid_partitions():

@@ -22,7 +22,9 @@ from hilbert_lambda.polynomial import (
 )
 from hilbert_lambda import build_hilbert
 from hilbert_lambda.calculus import delta, is_integer_sequence
-from support import cursor_parse, fraction_horner, newton_horner_reference
+from support import cursor_parse, fraction_horner, needs_digit_limit, newton_horner_reference, past_digit_limit
+
+BIG = "1" * 5000  # past the default int-to-str digit limit
 
 coefficients = st.lists(
     st.fractions(min_value=-100, max_value=100, max_denominator=30),
@@ -262,6 +264,16 @@ def test_parse_errors_carry_position(text, position):
         parse_polynomial(text)
     assert info.value.position == position
     assert f"at column {position}" in str(info.value)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "text, position", [("x^" + BIG, 2), ("3*x + " + BIG, 6), ("-" + BIG, 1), ("1/" + BIG, 2), ("x/" + BIG, 2)]
+)
+def test_numbers_past_the_digit_limit_carry_position(text, position):
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(text)
+    assert (info.value.message, info.value.position) == (past_digit_limit(5000), position)
 
 
 @pytest.mark.parametrize("text", ["1/0", "x/0", "1/2*x/0", "3/0*x", "x/ 0"])
