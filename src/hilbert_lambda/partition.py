@@ -25,9 +25,9 @@ import itertools
 import math
 import random
 import re
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from operator import neg
+from operator import attrgetter, neg
 from typing import Iterator
 
 from .calculus import binomial_seq_value, peel_block
@@ -50,20 +50,40 @@ class PartitionSyntaxError(ValueError):
     """Malformed partition text."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Frozen:
+    """One value in a private slot, read through a property named ``_field``; compared by type and value."""
+
+    __slots__ = ("_value",)
+
+    def __eq__(self, other: object) -> bool:
+        return self._value == other._value if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={self._value!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._value,)  # unpickling validates, at every protocol
+
+
+class Partition(_Frozen):
     """Non-increasing tuple of positive integers; may be empty."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
+    _field = "parts"
+    parts = property(attrgetter("_value"))
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
         previous = None
-        for index, part in enumerate(self.parts):
+        for index, part in enumerate(parts):
             if part < 1:
                 raise NonPositivePartError(f"part {part} at index {index} is not positive")
             if previous is not None and part > previous:
                 raise NotNonIncreasingError(index)
             previous = part
+        self._value = parts
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -78,16 +98,17 @@ class Partition:
         return format_partition(self)
 
 
-@dataclass(frozen=True)
-class ExponentForm:
+class ExponentForm(_Frozen):
     """Run-length form ((value, multiplicity), ...) with values strictly decreasing."""
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
+    _field = "pairs"
+    pairs = property(attrgetter("_value"))
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
         # index is the flat index of each run's first part
         previous, index = None, 0
-        for value, multiplicity in self.pairs:
+        for value, multiplicity in pairs:
             if value < 1:
                 raise NonPositivePartError(f"part {value} at index {index} is not positive")
             if multiplicity < 1:
@@ -97,6 +118,7 @@ class ExponentForm:
             if value == previous:
                 raise ValueError("values must be strictly decreasing")
             previous, index = value, index + multiplicity
+        self._value = pairs
 
 
 def to_exponent_form(partition: Partition) -> ExponentForm:
@@ -136,9 +158,9 @@ def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
     above it and reuses that binomial chain where it can.  A run of one
     part is a single binomial term and walks one chain only: a partition
     into distinct consecutive parts, such as a staircase, builds by
-    subtractions alone after its first part.
+    subtractions alone after its first part.  It reads the slot ``_value``, faster than the property.
     """
-    pairs = partition.pairs if isinstance(partition, ExponentForm) else _runs(partition.parts)
+    pairs = partition._value if isinstance(partition, ExponentForm) else _runs(partition._value)
     a = [0] * (pairs[0][0] if pairs else 0)
     start, above = 1, None
     for value, multiplicity in pairs:
@@ -239,6 +261,8 @@ def parse_partition(text: str) -> ExponentForm:
     for item in body.split(",") if body else ():
         value_text, caret, mult_text = item.partition("^") if exponent else (item, "", "")
         value = _parse_int(value_text)
+        if value >= sys.maxsize:  # build_hilbert's coefficient list has max(values) entries
+            raise PartitionSyntaxError(f"part {value} is too large (must be below {sys.maxsize})")
         multiplicity = _parse_int(mult_text) if caret else 1
         if multiplicity < 1:
             raise PartitionSyntaxError(f"multiplicity {multiplicity} must be >= 1")

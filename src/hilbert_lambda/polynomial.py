@@ -244,6 +244,8 @@ def parse_polynomial(text: str) -> Polynomial:
         if star and not x:
             raise PolynomialSyntaxError("expected 'x'", m.end("star"))
         power = 0 if x is None else 1 if exp is None else _uint(m, "exp")
+        if power >= sys.maxsize:  # the coefficient list has max(powers) + 1 entries
+            raise PolynomialSyntaxError(f"exponent is too large (must be below {sys.maxsize})", m.start("exp"))
         if div is not None:
             denominator *= _denominator(m, "div")
         total, common = powers.get(power, (0, 1))

@@ -21,9 +21,9 @@ built inside the engines; ``Success.flat()`` materializes it on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .calculus import Sequence, binomial_seq_value, is_integer_sequence, peel_block
 from .calculus import reduce  # noqa: F401  kept as recovery.reduce, which perfbench/worker.py traces
@@ -38,16 +38,14 @@ from .partition import (
 from .polynomial import Polynomial, newton_coeffs, sample_points
 
 
-@dataclass(frozen=True)
-class NonIntegerValued:
+class NonIntegerValued(NamedTuple):
     """The polynomial takes a non-integer value at some integer."""
 
     def describe(self) -> str:
         return "sample window contains non-integer values"
 
 
-@dataclass(frozen=True)
-class NegativeLeadingMultiplicity:
+class NegativeLeadingMultiplicity(NamedTuple):
     """The residual's top binomial-basis coefficient, its next block's part count, is negative."""
 
     at_degree: int
@@ -57,8 +55,7 @@ class NegativeLeadingMultiplicity:
         return f"negative leading multiplicity ({self.value} at degree {self.at_degree} residual)"
 
 
-@dataclass(frozen=True)
-class SearchExhausted:
+class SearchExhausted(NamedTuple):
     """No candidate of length <= r_max matched the sample window."""
 
     r_max: int
@@ -70,8 +67,7 @@ class SearchExhausted:
 Reason = NonIntegerValued | NegativeLeadingMultiplicity | SearchExhausted
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One subtraction round: degree m, multiplicity r, index span [s, e]."""
 
     m: int
@@ -81,8 +77,7 @@ class TraceStep:
     residual: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Success:
+class Success(NamedTuple):
     """Recovered partition in run-length form, largest value first."""
 
     form: ExponentForm
@@ -90,13 +85,11 @@ class Success:
     trace: tuple[TraceStep, ...] | None = None
 
     def flat(self) -> Partition:
-        """Expand to the flat partition.  Size equals the number of parts,
-        which recovered forms do not bound; fine at desk scale."""
+        """Expand to the flat partition, one entry per part: recovered forms do not bound their count."""
         return from_exponent_form(self.form)
 
 
-@dataclass(frozen=True)
-class NotHilbert:
+class NotHilbert(NamedTuple):
     reason: Reason
     trace: tuple[TraceStep, ...] | None = None
 

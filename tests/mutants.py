@@ -88,6 +88,56 @@ MUTANTS = [
         "if k < m:",
         PARTITION_TESTS,
     ),
+    # the immutable value records Partition and ExponentForm
+    Mutant(
+        "_Frozen: equality without its type check",
+        "partition.py",
+        "return self._value == other._value if type(other) is type(self) else NotImplemented",
+        "return self._value == other._value",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "_Frozen: hash of a constant",
+        "partition.py",
+        "return hash(self._value)",
+        "return 0",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "_Frozen: copies and pickles are rebuilt empty",
+        "partition.py",
+        "return type(self), (self._value,)",
+        "return type(self), ()",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "Partition: parts can be assigned",
+        "partition.py",
+        'parts = property(attrgetter("_value"))',
+        'parts = property(attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: pairs can be assigned",
+        "partition.py",
+        'pairs = property(attrgetter("_value"))',
+        'pairs = property(attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: two runs of one value pass",
+        "partition.py",
+        "            if value == previous:\n",
+        "            if False:\n",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: a multiplicity of 0 passes",
+        "partition.py",
+        "if multiplicity < 1:\n                raise ValueError",
+        "if multiplicity < 0:\n                raise ValueError",
+        PARTITION_TESTS,
+    ),
     # the CLI's decimal-integer grammar
     Mutant(
         "_digits: int() reads any text, so '1_0' and '+3' pass",
@@ -174,6 +224,21 @@ MUTANTS = [
         "raise PolynomialSyntaxError(digit_limit_text(m[group]), m.start(group)) from None",
         "raise",
         ("tests/test_polynomial.py",),
+    ),
+    # powers and parts that no list can be sized by
+    Mutant(
+        "parse_polynomial: the exponent sys.maxsize passes",
+        "polynomial.py",
+        "if power >= sys.maxsize:",
+        "if power > sys.maxsize:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "parse_partition: the part sys.maxsize passes",
+        "partition.py",
+        "if value >= sys.maxsize:",
+        "if value > sys.maxsize:",
+        ("tests/test_cli.py",),
     ),
     # the reference window
     Mutant(

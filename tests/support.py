@@ -1,12 +1,14 @@
 """Shared test fixtures: partition enumeration, a provably non-Hilbert
 polynomial corpus, reference engines and parser, the recover JSON schema,
-and an in-process CLI runner.
+an in-process CLI runner and the contract of the package's records.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import math
+import pickle
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -45,6 +47,28 @@ needs_digit_limit = pytest.mark.skipif(
 def past_digit_limit(digits: int) -> str:
     """The message for a number of ``digits`` digits past the interpreter's limit."""
     return f"{digits}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
+
+
+def assert_record_contract(record, fields: dict, text: str, other=None) -> None:
+    """``record`` is an immutable value shown as ``text``: built again from
+    ``fields`` by keyword it equals ``record`` and hashes alike, ``other``, if
+    given, is of its type with a field changed and compares and hashes
+    differently, no field can be assigned and none added, and its copies and
+    pickles at every protocol equal it."""
+    kind = type(record)
+    same = kind(**fields)
+    assert (record == same, record != same, hash(record) == hash(same)) == (True, False, True)
+    if other is not None:
+        assert type(other) is kind and (record == other, record != other) == (False, True)
+        assert hash(record) != hash(other)
+    assert repr(record) == text
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert record == same and repr(record) == text
+    pickles = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(record), copy.deepcopy(record), *pickles):
+        assert type(twin) is kind and twin == record and hash(twin) == hash(record) and repr(twin) == text
 
 
 def all_partitions(max_part: int, max_len: int) -> Iterator[Partition]:

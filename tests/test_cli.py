@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -303,6 +305,9 @@ def test_build_rejects_invalid_partition(monkeypatch, capsys):
 def test_build_reads_runs_without_expanding(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["build", "(1^1000000000000)"])
     assert (code, out) == (0, "1000000000000\n")
+    # a multiplicity sizes nothing, so sys.maxsize does not bound it
+    code, out, _ = run_cli(monkeypatch, capsys, ["build", "(1^99999999999999999999)"])
+    assert (code, out) == (0, "99999999999999999999\n")
     code, out, _ = run_cli(monkeypatch, capsys, ["build", "(3^1000000000000,2,1^5)", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
@@ -420,6 +425,27 @@ def test_numbers_past_the_digit_limit_say_so(monkeypatch, capsys, argv, where):
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["recover", "x^99999999999999999999"], "exponent is too large"),
+        (["recover", f"3*x^{sys.maxsize} + 1"], "exponent is too large"),
+        (["build", "(99999999999999999999)"], "part 99999999999999999999 is too large"),
+        (["build", f"[{sys.maxsize},1]"], f"part {sys.maxsize} is too large"),
+    ],
+)
+def test_powers_and_parts_from_sys_maxsize_on_say_so(monkeypatch, capsys, argv, error):
+    # a list sized by such a number cannot be made
+    code, out, err = run_cli(monkeypatch, capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error} (must be below {sys.maxsize})")
+    assert "index-sized" not in err
+    if argv[0] == "recover":  # polynomial text gets the exponent's column and caret
+        column = argv[1].index("^") + 1
+        assert err.splitlines()[0].endswith(f") at column {column}")
+        assert err.splitlines()[2] == "  " + " " * column + "^"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         [],
@@ -463,6 +489,20 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "λ = (2^3,1)\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each costs a cold start milliseconds of imports, and the package needs neither
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, hilbert_lambda.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")

@@ -27,7 +27,7 @@ from hilbert_lambda.partition import (
     to_exponent_form,
 )
 from hilbert_lambda.polynomial import Polynomial, format_polynomial
-from support import falling_binom_coeffs, needs_digit_limit, past_digit_limit
+from support import assert_record_contract, falling_binom_coeffs, needs_digit_limit, past_digit_limit
 
 partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
@@ -57,6 +57,34 @@ def test_partition_rejects_increasing_parts():
     with pytest.raises(NotNonIncreasingError) as info:
         Partition((5, 3, 4, 4))
     assert info.value.index == 2
+
+
+@pytest.mark.parametrize(
+    "record, fields, text, other",
+    [
+        (Partition((3, 1)), {"parts": (3, 1)}, "Partition(parts=(3, 1))", Partition((3,))),
+        (Partition(), {"parts": ()}, "Partition(parts=())", Partition((1,))),
+        (
+            ExponentForm(((2, 3), (1, 1))),
+            {"pairs": ((2, 3), (1, 1))},
+            "ExponentForm(pairs=((2, 3), (1, 1)))",
+            ExponentForm(((2, 3),)),
+        ),
+        (ExponentForm(), {"pairs": ()}, "ExponentForm(pairs=())", ExponentForm(((1, 1),))),
+    ],
+)
+def test_partition_records(record, fields, text, other):
+    assert_record_contract(record, fields, text, other)
+
+
+def test_partition_records_compare_by_type():
+    # neither is a tuple, nor equal to the other type holding the same value
+    assert Partition() != ExponentForm() and Partition() != () and ExponentForm() != ()
+    assert Partition((1,)) != (1,) and ExponentForm(((1, 1),)) != ((1, 1),)
+    assert len({Partition(), ExponentForm(), ()}) == 3
+    # copies and pickles are rebuilt through the validating constructor
+    assert Partition((2, 1)).__reduce__() == (Partition, ((2, 1),))
+    assert ExponentForm(((2, 1),)).__reduce__() == (ExponentForm, (((2, 1),),))
 
 
 def test_exponent_form_round_trip_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,11 +23,18 @@ from hilbert_lambda.recovery import (
     NotHilbert,
     SearchExhausted,
     Success,
+    TraceStep,
     recover_delta,
     recover_naive,
     subtract_block,
 )
-from support import negative_lead_poly, shifted_hilbert_poly, telescoped_value, window_recover
+from support import (
+    assert_record_contract,
+    negative_lead_poly,
+    shifted_hilbert_poly,
+    telescoped_value,
+    window_recover,
+)
 
 partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
@@ -35,6 +43,71 @@ partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
 
 def success_of(*parts: int) -> Success:
     return Success(to_exponent_form(Partition(parts)))
+
+
+FORM = ExponentForm(((2, 3), (1, 1)))
+STEP = TraceStep(2, 2, 1, 2, (Fraction(-1), Fraction(-3), Fraction(-5)))
+STEP_FIELDS = {"m": 2, "r": 2, "s": 1, "e": 2, "residual": STEP.residual}
+STEP_TEXT = "TraceStep(m=2, r=2, s=1, e=2, residual=(Fraction(-1, 1), Fraction(-3, 1), Fraction(-5, 1)))"
+FORM_TEXT = "ExponentForm(pairs=((2, 3), (1, 1)))"
+
+
+@pytest.mark.parametrize(
+    "record, fields, text, other",
+    [
+        (NonIntegerValued(), {}, "NonIntegerValued()", None),
+        (
+            NegativeLeadingMultiplicity(1, -2),
+            {"at_degree": 1, "value": -2},
+            "NegativeLeadingMultiplicity(at_degree=1, value=-2)",
+            NegativeLeadingMultiplicity(1, -3),
+        ),
+        (SearchExhausted(3), {"r_max": 3}, "SearchExhausted(r_max=3)", SearchExhausted(4)),
+        (STEP, STEP_FIELDS, STEP_TEXT, TraceStep(2, 2, 1, 3, STEP.residual)),
+        (
+            Success(FORM),
+            {"form": FORM, "warnings": (), "trace": None},
+            f"Success(form={FORM_TEXT}, warnings=(), trace=None)",
+            Success(FORM, ("w",)),
+        ),
+        (
+            Success(FORM, ("w",), (STEP,)),
+            {"form": FORM, "warnings": ("w",), "trace": (STEP,)},
+            f"Success(form={FORM_TEXT}, warnings=('w',), trace=({STEP_TEXT},))",
+            Success(FORM, ("w",)),
+        ),
+        (
+            NotHilbert(SearchExhausted(3)),
+            {"reason": SearchExhausted(3), "trace": None},
+            "NotHilbert(reason=SearchExhausted(r_max=3), trace=None)",
+            NotHilbert(SearchExhausted(4)),
+        ),
+        (
+            NotHilbert(NonIntegerValued(), (STEP,)),
+            {"reason": NonIntegerValued(), "trace": (STEP,)},
+            f"NotHilbert(reason=NonIntegerValued(), trace=({STEP_TEXT},))",
+            NotHilbert(NonIntegerValued()),
+        ),
+    ],
+)
+def test_outcome_records(record, fields, text, other):
+    assert_record_contract(record, fields, text, other)
+
+
+def test_outcome_records_are_tuples_unequal_across_types():
+    assert recover_delta(Polynomial([1, 3])) == Success(FORM)
+    # each record is the tuple of its fields...
+    form, warnings, trace = Success(FORM)
+    assert (form, warnings, trace) == (FORM, (), None) == Success(FORM)
+    assert SearchExhausted(3) == (3,) and NotHilbert(SearchExhausted(3))[0].r_max == 3
+    assert not NonIntegerValued()
+    # ...so two reasons, or two outcomes, of different types differ only
+    # while no two of those types share an arity
+    reasons = [NonIntegerValued(), NegativeLeadingMultiplicity(0, 0), SearchExhausted(0)]
+    outcomes = [Success(ExponentForm()), NotHilbert(NonIntegerValued())]
+    for records in (reasons, outcomes):
+        for a, b in itertools.combinations(records, 2):
+            assert a != b and len(a) != len(b)
 
 
 def test_subtract_block_removes_leading_block():
