@@ -37,11 +37,6 @@ class Sequence(tuple):
             raise ValueError("a sequence needs at least one value")
         return self
 
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        """The values, as a plain tuple."""
-        return tuple(self)
-
     def window(self) -> tuple[Fraction, ...]:
         """The values, as a plain tuple."""
         return tuple(self)

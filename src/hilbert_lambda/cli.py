@@ -198,7 +198,7 @@ def _print_side_channel(outcome: Outcome, verbose: bool) -> None:
             print(f"warning: {warning}", file=sys.stderr)
     if verbose and outcome.trace is not None:
         for step in outcome.trace:
-            residual = ",".join(format_rational(value) for value in step.residual)
+            residual = ",".join(map(str, step.residual))
             print(f"trace: m={step.m} r={step.r} s={step.s} e={step.e} residual=({residual})", file=sys.stderr)
 
 

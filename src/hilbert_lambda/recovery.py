@@ -8,6 +8,8 @@ operations, so a decision costs O(n^2) of them; the loop ends when every
 a_k is zero.  Each peel is handed the previous one's result and reuses
 that binomial chain where it can, so it multiplies out one chain, not
 two; a block of one part multiplies out at most its own lower chain.
+A requested trace records each round's block and a snapshot of the
+a_0..a_n its peel leaves.
 ``recover_naive`` searches candidate partitions in descending
 lexicographic order and compares values on enough sample points to pin
 the polynomial down.  Both return ``Success`` with the partition or
@@ -21,7 +23,6 @@ built inside the engines; ``Success.flat()`` materializes it on demand.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
@@ -68,13 +69,14 @@ Reason = NonIntegerValued | NegativeLeadingMultiplicity | SearchExhausted
 
 
 class TraceStep(NamedTuple):
-    """One subtraction round: degree m, multiplicity r, index span [s, e]."""
+    """One subtraction round: degree m, multiplicity r, index span [s, e],
+    and the residual's coefficients a_0..a_n in the basis C(x, k) after the peel."""
 
     m: int
     r: int
     s: int
     e: int
-    residual: tuple[Fraction, ...]
+    residual: tuple[int, ...]
 
 
 class Success(NamedTuple):
@@ -129,15 +131,16 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
     coefficients a_k of C(x, k), which exist exactly when p is
     integer-valued, so the up-front check is exact.  Each round's block is
     the top nonzero a_m; removing it costs O(m) integer operations, the
-    decision O(n^2).  Trace residuals p(0..n) are rebuilt, on request only,
-    from the coefficients by prefix sums.
+    decision O(n^2).  With ``want_trace`` every outcome carries a trace, empty
+    when no round ran; a step's residual is the a_k as its peel left them.
     """
+    no_steps = () if want_trace else None
     n = p.degree()
     if n is None:
-        return Success(ExponentForm(), warnings=("zero polynomial: empty partition by convention",))
+        return Success(ExponentForm(), ("zero polynomial: empty partition by convention",), no_steps)
     scale, a = newton_coeffs(p)
     if any(value % scale for value in a):
-        return NotHilbert(NonIntegerValued())
+        return NotHilbert(NonIntegerValued(), no_steps)
     a = [value // scale for value in a]
     blocks: list[tuple[int, int]] = []
     trace: list[TraceStep] = []
@@ -158,19 +161,9 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
         above = peel_block(a, m + 1, start, end, above)
         blocks.append((m + 1, r))
         if want_trace:
-            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=_residual_window(a)))
+            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)))
         start = end + 1
     raise RuntimeError("block extraction failed to terminate within degree + 2 rounds")
-
-
-def _residual_window(a: list[int]) -> tuple[Fraction, ...]:
-    # p(0..n) from p's coefficients a_k of C(x, k): undo the differencing
-    # that gives a_k = Δ^k p(0), one prefix-sum pass per order
-    t = list(a)
-    for k in range(len(t) - 2, -1, -1):
-        for i in range(k + 1, len(t)):
-            t[i] += t[i - 1]
-    return tuple(map(Fraction, t))
 
 
 def recover_naive(p: Polynomial, r_max: int) -> Outcome:

@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 PARTITION_TESTS = ("tests/test_partition.py",)
+RECOVERY_TESTS = ("tests/test_recovery.py",)
 
 MUTANTS = [
     # random_partition's run-length unranking
@@ -239,6 +240,48 @@ MUTANTS = [
         "if value >= sys.maxsize:",
         "if value > sys.maxsize:",
         ("tests/test_cli.py",),
+    ),
+    # the decider and its trace
+    Mutant(
+        "recover_delta: the trace snapshots the residual before the peel",
+        "recovery.py",
+        "        above = peel_block(a, m + 1, start, end, above)\n"
+        "        blocks.append((m + 1, r))\n"
+        "        if want_trace:\n"
+        "            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)))\n",
+        "        if want_trace:\n"
+        "            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)))\n"
+        "        above = peel_block(a, m + 1, start, end, above)\n"
+        "        blocks.append((m + 1, r))\n",
+        RECOVERY_TESTS,
+    ),
+    Mutant(
+        "recover_delta: no integrality check, so x/2 decides as the empty partition",
+        "recovery.py",
+        "    if any(value % scale for value in a):\n",
+        "    if False:\n",
+        RECOVERY_TESTS,
+    ),
+    Mutant(
+        "recover_delta: each block starts at the previous block's last part",
+        "recovery.py",
+        "start = end + 1",
+        "start = end",
+        RECOVERY_TESTS,
+    ),
+    Mutant(
+        "recover_delta: no round left for the final zero check",
+        "recovery.py",
+        "range(n + 2)",
+        "range(n + 1)",
+        RECOVERY_TESTS,
+    ),
+    Mutant(
+        "recover_delta: an early return drops the requested trace",
+        "recovery.py",
+        "no_steps = () if want_trace else None",
+        "no_steps = None if want_trace else None",
+        RECOVERY_TESTS,
     ),
     # the reference window
     Mutant(

@@ -96,12 +96,13 @@ def window_recover(p: Polynomial) -> Outcome:
     the sample-window engine, O(n^3) in ``Fraction`` operations.
 
     Each round differences the residual window p(0..n) with ``reduce`` to
-    expose the next block and removes it with ``subtract_block``.
+    expose the next block and removes it with ``subtract_block``; its trace
+    reports each residual as ``differences_at_zero`` of its window.
     """
     n = p.degree()
     window = sample_points(p, n)
     if any(value.denominator != 1 for value in window):
-        return NotHilbert(NonIntegerValued())
+        return NotHilbert(NonIntegerValued(), trace=())
     blocks, trace, start = [], [], 1
     while any(window):
         m, r = reduce(window)
@@ -111,9 +112,19 @@ def window_recover(p: Polynomial) -> Outcome:
         end = start + r - 1
         window = subtract_block(window, n, m + 1, start, end)
         blocks.append((m + 1, r))
-        trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=window.window()))
+        trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=differences_at_zero(window)))
         start = end + 1
     return Success(ExponentForm(tuple(blocks)), trace=tuple(trace))
+
+
+def differences_at_zero(window) -> tuple[int, ...]:
+    """Δ^k f(0) for k = 0..n of an integer window f(0..n): the coefficients
+    of f in the basis C(x, k)."""
+    row, firsts = [int(value) for value in window], []
+    while row:
+        firsts.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(firsts)
 
 
 def cursor_parse(text: str) -> Polynomial:

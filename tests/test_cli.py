@@ -105,17 +105,24 @@ def test_recover_json_verbose_includes_trace(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     validator.validate(doc)
-    assert doc["trace"] == [
-        {"m": 1, "r": 3, "s": 1, "e": 3},
-        {"m": 0, "r": 1, "s": 4, "e": 4},
-    ]
+    steps = [{"m": 1, "r": 3, "s": 1, "e": 3}, {"m": 0, "r": 1, "s": 4, "e": 4}]
+    assert doc["trace"] == steps
+    # every requested trace is there, empty where the decision returns before a round
+    code, out, _ = run_cli(
+        monkeypatch, capsys, ["recover", "--verbose", "--format", "json"], stdin_text="x^2\nx/2\n0\n3*x+1\n"
+    )
+    assert code == 1
+    docs = [json.loads(line) for line in out.splitlines()]
+    for doc in docs:
+        validator.validate(doc)
+    assert [doc["trace"] for doc in docs] == [[{"m": 2, "r": 2, "s": 1, "e": 2}], [], [], steps]
 
 
 def test_recover_text_verbose_trace_on_stderr(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["recover", "3*x + 1", "--verbose"])
     assert code == 0
     assert out == "λ = (2^3,1)\n"
-    assert "trace: m=1 r=3 s=1 e=3 residual=(1,1)" in err
+    assert "trace: m=1 r=3 s=1 e=3 residual=(1,0)" in err
 
 
 def test_recover_ambient_text(monkeypatch, capsys):
@@ -174,7 +181,7 @@ def test_batch_recover_text_prints_warnings_and_verbose_trace(monkeypatch, capsy
     assert out.splitlines() == ["λ = ()", "λ = (2^3,1)"]
     assert err.splitlines() == [
         "warning: zero polynomial: empty partition by convention",
-        "trace: m=1 r=3 s=1 e=3 residual=(1,1)",
+        "trace: m=1 r=3 s=1 e=3 residual=(1,0)",
         "trace: m=0 r=1 s=4 e=4 residual=(0,0)",
     ]
 

@@ -46,9 +46,9 @@ def success_of(*parts: int) -> Success:
 
 
 FORM = ExponentForm(((2, 3), (1, 1)))
-STEP = TraceStep(2, 2, 1, 2, (Fraction(-1), Fraction(-3), Fraction(-5)))
+STEP = TraceStep(2, 2, 1, 2, (-1, -3, -5))
 STEP_FIELDS = {"m": 2, "r": 2, "s": 1, "e": 2, "residual": STEP.residual}
-STEP_TEXT = "TraceStep(m=2, r=2, s=1, e=2, residual=(Fraction(-1, 1), Fraction(-3, 1), Fraction(-5, 1)))"
+STEP_TEXT = "TraceStep(m=2, r=2, s=1, e=2, residual=(-1, -3, -5))"
 FORM_TEXT = "ExponentForm(pairs=((2, 3), (1, 1)))"
 
 
@@ -222,13 +222,17 @@ def test_recover_delta_trace():
     assert outcome.flat() == Partition((2, 2, 2, 1))
     steps = [(step.m, step.r, step.s, step.e) for step in outcome.trace]
     assert steps == [(1, 3, 1, 3), (0, 1, 4, 4)]
-    assert outcome.trace[0].residual == (1, 1)
+    # a_0, a_1 of 1 + 3*C(x, 1) after each peel: the 2^3 block takes 3*C(x, 1), the 1 block the 1
+    assert outcome.trace[0].residual == (1, 0)
     assert outcome.trace[1].residual == (0, 0)
+    # the zero polynomial and a non-integer-valued one return before any round
+    for text in ("0", "x/2"):
+        assert recover_delta(parse_polynomial(text), want_trace=True).trace == ()
 
 
 def test_recover_delta_without_trace_flag_has_no_trace():
-    outcome = recover_delta(parse_polynomial("3*x + 1"))
-    assert outcome.trace is None
+    for text in ("3*x + 1", "0", "x/2"):
+        assert recover_delta(parse_polynomial(text)).trace is None
 
 
 def test_recover_delta_zero_polynomial():
@@ -297,7 +301,7 @@ def _equivalence_inputs() -> list[Polynomial]:
 
 def test_recover_delta_matches_window_engine_with_trace():
     # the Newton-basis core against the sample-window engine it replaced,
-    # trace residuals included
+    # trace residuals included, which the window engine reads off as Δ^k p(0)
     for p in _equivalence_inputs():
         assert recover_delta(p, want_trace=True) == window_recover(p), format_polynomial(p)
 
