@@ -124,17 +124,14 @@ def peel_block(a: list[int], v: int, start: int, end: int, above: tuple | None =
     upper = lower = 1
     top, bottom = v - start + 1, v - end
     if end == start:
-        if below is None:
-            for k in range(v):
-                a[v - 1 - k] -= lower
+        for k in range(v):
+            a[v - 1 - k] -= lower
+            if below is None:
                 lower = lower * (bottom - k) // (k + 1)
-                chain.append(lower)
-        else:
-            for k in range(v):
-                a[v - 1 - k] -= lower
+            else:
                 upper = below[k] - upper
                 lower = upper - lower
-                chain.append(lower)
+            chain.append(lower)
         return v, chain
     for k in range(v):
         # exact: C(c, k) * (c - k) == (k + 1) * C(c, k + 1), for any integer c

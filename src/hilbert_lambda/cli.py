@@ -5,7 +5,9 @@ Subcommands: ``recover`` (polynomial -> partition or rejection),
 ``random`` (seeded instance generation).  ``recover`` and ``check`` read
 one polynomial per stdin line when the positional argument is omitted and
 emit one result line each, in input order; a polynomial argument is
-decided as a batch of one.
+decided as a batch of one.  Both run one decide loop, each with its own
+renderer; every subcommand declares its own options and builds its JSON
+objects whole.
 
 Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage, parse or other
 error.  Batch mode reports errors per line and exits with the worst code.
@@ -48,19 +50,6 @@ def _seed(text: str) -> int:
     return value
 
 
-_OPTIONS = {
-    "--ambient": {
-        "type": _positive_int,
-        "default": None,
-        "metavar": "N",
-        "help": "also report whether the largest part fits within N",
-    },
-    "--verbose": {"action": "store_true", "help": "include the per-round recovery trace"},
-    "--format": {"choices": ("text", "json"), "default": "text", "help": "output format (default: text)"},
-    "--seed": {"type": _seed, "default": None, "metavar": "S", "help": "random seed (default: unseeded)"},
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbert-lambda",
@@ -68,32 +57,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler: Callable, options: tuple[str, ...], help_text: str):
+    def add(name: str, handler: Callable[[argparse.Namespace], int], help_text: str) -> argparse.ArgumentParser:
         # each subcommand takes only the options it reads; any other is a usage error
         sub = commands.add_parser(name, help=help_text, description=help_text)
-        for option in options:
-            sub.add_argument(option, **_OPTIONS[option])
         sub.set_defaults(handler=handler)
         return sub
 
-    recover = add(
-        "recover",
-        _cmd_decide,
-        ("--ambient", "--format", "--verbose"),
-        "recover the partition from a polynomial (stdin batch when omitted)",
+    formats = {"choices": ("text", "json"), "default": "text", "help": "output format (default: text)"}
+    recover = add("recover", _cmd_recover, "recover the partition from a polynomial (stdin batch when omitted)")
+    recover.add_argument(
+        "--ambient", type=_positive_int, metavar="N", help="also report whether the largest part fits within N"
     )
-    recover.add_argument("polynomial", nargs="?", default=None, help="polynomial text, e.g. '3*x + 1'")
-    check = add(
-        "check", _cmd_decide, (), "exit 0 iff the polynomial is a Hilbert polynomial (stdin batch when omitted)"
-    )
-    check.add_argument("polynomial", nargs="?", default=None, help="polynomial text")
-    # check prints a verdict only: the values recover's options set are fixed
-    check.set_defaults(format="text", ambient=None, verbose=False)
-    build = add("build", _cmd_build, ("--format",), "build the polynomial a partition generates")
+    recover.add_argument("--format", **formats)
+    recover.add_argument("--verbose", action="store_true", help="include the per-round recovery trace")
+    recover.add_argument("polynomial", nargs="?", help="polynomial text, e.g. '3*x + 1'")
+    check = add("check", _cmd_check, "exit 0 iff the polynomial is a Hilbert polynomial (stdin batch when omitted)")
+    check.add_argument("polynomial", nargs="?", help="polynomial text")
+    build = add("build", _cmd_build, "build the polynomial a partition generates")
+    build.add_argument("--format", **formats)
     build.add_argument("partition", help="partition text, e.g. '(2^3,1)' or '[2,2,2,1]'")
-    rand = add(
-        "random", _cmd_random, ("--format", "--seed"), "emit a uniformly random partition and its polynomial"
-    )
+    rand = add("random", _cmd_random, "emit a uniformly random partition and its polynomial")
+    rand.add_argument("--format", **formats)
+    rand.add_argument("--seed", type=_seed, metavar="S", help="random seed (default: unseeded)")
     rand.add_argument("max_part", type=_positive_int, help="largest allowed part")
     rand.add_argument("max_len", type=_positive_int, help="largest allowed number of parts")
     return parser
@@ -130,120 +115,105 @@ def run() -> None:
 FLAT_PARTS_LIMIT = 100_000
 
 
-def _fits_ambient(outcome: Success, ambient: int) -> bool:
-    # the first pair holds the largest part; the empty partition fits anywhere
-    pairs = outcome.form.pairs
-    return not pairs or pairs[0][0] <= ambient
-
-
-def _put_lambda(payload: dict, answer: Success) -> None:
-    """Fill the keys every JSON λ has: ``lambda_flat``, ``lambda_exp`` and,
-    if there are any, ``warnings``.  Keys already in ``payload`` keep their
-    place.  ``lambda_flat`` is null past FLAT_PARTS_LIMIT parts."""
+def _lambda_keys(answer: Success) -> tuple[dict, dict]:
+    """The keys every JSON λ has, ``lambda_flat`` and ``lambda_exp``, and a
+    dict with the ``warnings`` key, or an empty one when there are none.
+    ``lambda_flat`` is null past FLAT_PARTS_LIMIT parts, and a warning says so."""
     pairs = answer.form.pairs
     total_parts = sum(mult for _, mult in pairs)
-    warnings = list(answer.warnings)
+    warnings = answer.warnings
+    flat = None
     if total_parts <= FLAT_PARTS_LIMIT:
-        payload["lambda_flat"] = list(answer.flat().parts)
+        flat = list(answer.flat().parts)
     else:
-        payload["lambda_flat"] = None
-        warnings.append(f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp")
-    payload["lambda_exp"] = [[value, mult] for value, mult in pairs]
-    if warnings:
-        payload["warnings"] = warnings
+        warnings += (f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp",)
+    lam = {"lambda_flat": flat, "lambda_exp": [[value, mult] for value, mult in pairs]}
+    return lam, {"warnings": list(warnings)} if warnings else {}
 
 
-def _recover_payload(text: str, outcome: Outcome, ambient: int | None) -> dict:
-    if isinstance(outcome, Success):
-        payload: dict = {"input": text, "hilbert": True, "lambda_flat": None, "lambda_exp": None, "reason": None}
-        _put_lambda(payload, outcome)
-        if ambient is not None:
-            payload["ambient"] = {"n": ambient, "ok": _fits_ambient(outcome, ambient)}
-    else:
-        payload = {
-            "input": text,
-            "hilbert": False,
-            "lambda_flat": [],
-            "lambda_exp": [],
-            "reason": outcome.reason.describe(),
-        }
-    if outcome.trace is not None:
-        payload["trace"] = [{"m": step.m, "r": step.r, "s": step.s, "e": step.e} for step in outcome.trace]
-    return payload
-
-
-def _recover_text_line(outcome: Outcome, ambient: int | None) -> str:
-    if isinstance(outcome, Success):
-        line = f"λ = {format_exponent_form(outcome.form)}"
-        if ambient is not None:
-            verdict = "ok" if _fits_ambient(outcome, ambient) else "exceeded"
-            line += f"  [ambient n={ambient}: {verdict}]"
-        return line
-    return f"not a Hilbert polynomial: {outcome.reason.describe()}"
-
-
-def _render(text: str, outcome: Outcome, args: argparse.Namespace, single: bool) -> str | None:
-    """The stdout line for one decided polynomial; ``check`` on an argument has none."""
-    if args.command == "check":
-        return None if single else ("hilbert" if isinstance(outcome, Success) else "not-hilbert")
-    if args.format == "json":
-        return json.dumps(_recover_payload(text, outcome, args.ambient))
-    return _recover_text_line(outcome, args.ambient)
-
-
-def _print_side_channel(outcome: Outcome, verbose: bool) -> None:
-    # warnings and the verbose trace go to stderr so stdout stays parseable
-    if isinstance(outcome, Success):
-        for warning in outcome.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-    if verbose and outcome.trace is not None:
-        for step in outcome.trace:
-            residual = ",".join(map(str, step.residual))
-            print(f"trace: m={step.m} r={step.r} s={step.s} e={step.e} residual=({residual})", file=sys.stderr)
-
-
-def _print_error(text: str, exc: Exception, args: argparse.Namespace, single: bool) -> None:
-    message = _error_text(exc)
-    if not single:  # a stdin line's error takes that line's place on stdout
-        print(json.dumps({"input": text, "error": message}) if args.format == "json" else f"error: {message}")
-        return
-    print(f"error: {message}", file=sys.stderr)
-    if isinstance(exc, PolynomialSyntaxError):
-        print(f"  {text}", file=sys.stderr)
-        print("  " + " " * exc.position + "^", file=sys.stderr)
-
-
-def _cmd_decide(args: argparse.Namespace) -> int:
-    """``recover`` and ``check``: a polynomial argument is a batch of one."""
-    single = args.polynomial is not None
-    texts = [args.polynomial] if single else (line for line in map(str.strip, sys.stdin) if line)
+def _decide(
+    polynomial: str | None, render: Callable[[str, Outcome], None], *, want_trace: bool = False, as_json: bool = False
+) -> int:
+    """Decide ``polynomial``, or each non-blank stdin line when it is None, and
+    hand each outcome to ``render``; returns the worst exit code.
+    ``parse_polynomial`` and ``recover_delta`` are looked up as module
+    globals, which tests and the benchmark's tracer replace."""
+    single = polynomial is not None
+    texts = [polynomial] if single else (line for line in map(str.strip, sys.stdin) if line)
     worst = 0
     for text in texts:
         try:
-            outcome = recover_delta(parse_polynomial(text), want_trace=args.verbose)
-            shown = _render(text, outcome, args, single)
+            outcome = recover_delta(parse_polynomial(text), want_trace=want_trace)
+            render(text, outcome)
         except Exception as exc:  # a parse error or a crash costs this polynomial only
-            _print_error(text, exc, args, single)
+            message = _error_text(exc)
+            if single:
+                print(f"error: {message}", file=sys.stderr)
+                if isinstance(exc, PolynomialSyntaxError):
+                    print(f"  {text}", file=sys.stderr)
+                    print("  " + " " * exc.position + "^", file=sys.stderr)
+            else:  # a stdin line's error takes that line's place on stdout
+                print(json.dumps({"input": text, "error": message}) if as_json else f"error: {message}")
             worst = 2
             continue
-        if shown is not None:
-            print(shown)
-        if args.command == "recover" and args.format == "text":
-            _print_side_channel(outcome, args.verbose)
         if not isinstance(outcome, Success):
             worst = max(worst, 1)
     return worst
+
+
+def _cmd_recover(args: argparse.Namespace) -> int:
+    ambient = args.ambient
+
+    def fits(answer: Success) -> bool:
+        # the first pair holds the largest part; the empty partition fits anywhere
+        pairs = answer.form.pairs
+        return not pairs or pairs[0][0] <= ambient
+
+    def as_json(text: str, outcome: Outcome) -> None:
+        # a step's first four fields, m, r, s and e: the residual is for text mode
+        trace = {} if outcome.trace is None else {"trace": [dict(zip("mrse", step)) for step in outcome.trace]}
+        if isinstance(outcome, Success):
+            lam, warnings = _lambda_keys(outcome)
+            fit = {} if ambient is None else {"ambient": {"n": ambient, "ok": fits(outcome)}}
+            payload = {"input": text, "hilbert": True, **lam, "reason": None, **warnings, **fit, **trace}
+        else:
+            reason = outcome.reason.describe()
+            payload = {"input": text, "hilbert": False, "lambda_flat": [], "lambda_exp": [], "reason": reason, **trace}
+        print(json.dumps(payload))
+
+    def as_text(text: str, outcome: Outcome) -> None:
+        # stdout has the one result line; warnings and the trace go to stderr
+        if isinstance(outcome, Success):
+            fit = "" if ambient is None else f"  [ambient n={ambient}: {'ok' if fits(outcome) else 'exceeded'}]"
+            print(f"λ = {format_exponent_form(outcome.form)}{fit}")
+            for warning in outcome.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+        else:
+            print(f"not a Hilbert polynomial: {outcome.reason.describe()}")
+        for step in outcome.trace or ():
+            residual = ",".join(map(str, step.residual))
+            print(f"trace: m={step.m} r={step.r} s={step.s} e={step.e} residual=({residual})", file=sys.stderr)
+
+    json_mode = args.format == "json"
+    return _decide(args.polynomial, as_json if json_mode else as_text, want_trace=args.verbose, as_json=json_mode)
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    def verdict(text: str, outcome: Outcome) -> None:
+        # an argument's verdict is its exit code alone
+        if args.polynomial is None:
+            print("hilbert" if isinstance(outcome, Success) else "not-hilbert")
+
+    return _decide(args.polynomial, verdict)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     form = parse_partition(args.partition)
     p = build_hilbert(form)
     if args.format == "json":
-        payload = {"input": args.partition, "lambda_flat": None, "lambda_exp": None}
-        payload["polynomial"] = format_polynomial(p)
-        payload["coeffs"] = [format_rational(c) for c in p.coeffs]
-        _put_lambda(payload, Success(form))
-        print(json.dumps(payload))
+        lam, warnings = _lambda_keys(Success(form))
+        polynomial, coeffs = format_polynomial(p), [format_rational(c) for c in p.coeffs]
+        print(json.dumps({"input": args.partition, **lam, "polynomial": polynomial, "coeffs": coeffs, **warnings}))
     else:
         print(format_polynomial(p))
     return 0
@@ -253,9 +223,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
     form = random_partition(args.max_part, args.max_len, random.Random(args.seed))
     p = build_hilbert(form)
     if args.format == "json":
-        payload = {"lambda_flat": None, "lambda_exp": None, "polynomial": format_polynomial(p)}
-        _put_lambda(payload, Success(form))
-        print(json.dumps(payload))
+        lam, warnings = _lambda_keys(Success(form))
+        print(json.dumps({**lam, "polynomial": format_polynomial(p), **warnings}))
     else:
         print(f"λ = {format_exponent_form(form)}")
         print(f"p = {format_polynomial(p)}")

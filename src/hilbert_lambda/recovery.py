@@ -4,10 +4,11 @@
 a_k = Δ^k p(0) in the basis C(x, k): each round's block of equal parts,
 degree m and multiplicity r, is the top nonzero a_m and is peeled off in
 place (:func:`hilbert_lambda.calculus.peel_block`) in O(m) integer
-operations, so a decision costs O(n^2) of them; the loop ends when every
-a_k is zero.  Each peel is handed the previous one's result and reuses
-that binomial chain where it can, so it multiplies out one chain, not
-two; a block of one part multiplies out at most its own lower chain.
+operations, so a decision costs O(n^2) of them; one pass from a_n down
+to a_0 reads each a_k once and leaves them all zero.  Each peel is handed
+the previous one's result and reuses that binomial chain where it can, so
+it multiplies out one chain, not two; a block of one part multiplies out
+at most its own lower chain.
 A requested trace records each round's block and a snapshot of the
 a_0..a_n its peel leaves.
 ``recover_naive`` searches candidate partitions in descending
@@ -134,36 +135,30 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
     decision O(n^2).  With ``want_trace`` every outcome carries a trace, empty
     when no round ran; a step's residual is the a_k as its peel left them.
     """
-    no_steps = () if want_trace else None
+    trace: tuple[TraceStep, ...] | None = () if want_trace else None
     n = p.degree()
     if n is None:
-        return Success(ExponentForm(), ("zero polynomial: empty partition by convention",), no_steps)
+        return Success(ExponentForm(), ("zero polynomial: empty partition by convention",), trace)
     scale, a = newton_coeffs(p)
     if any(value % scale for value in a):
-        return NotHilbert(NonIntegerValued(), no_steps)
+        return NotHilbert(NonIntegerValued(), trace)
     a = [value // scale for value in a]
     blocks: list[tuple[int, int]] = []
-    trace: list[TraceStep] = []
-    start, m, above = 1, n, None
-    # block degrees strictly decrease: at most n + 1 rounds and a final zero check
-    for _ in range(n + 2):
-        while m >= 0 and a[m] == 0:
-            m -= 1
-        if m < 0:
-            return Success(ExponentForm(tuple(blocks)), trace=tuple(trace) if want_trace else None)
+    start, above = 1, None
+    # a block of value m + 1 writes only a_0..a_m and zeroes a_m: each a_m is final when read
+    for m in range(n, -1, -1):
         r = a[m]
+        if r == 0:
+            continue
         if r < 0:
-            return NotHilbert(
-                NegativeLeadingMultiplicity(at_degree=m, value=r),
-                trace=tuple(trace) if want_trace else None,
-            )
+            return NotHilbert(NegativeLeadingMultiplicity(at_degree=m, value=r), trace)
         end = start + r - 1
         above = peel_block(a, m + 1, start, end, above)
         blocks.append((m + 1, r))
         if want_trace:
-            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)))
+            trace += (TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)),)
         start = end + 1
-    raise RuntimeError("block extraction failed to terminate within degree + 2 rounds")
+    return Success(ExponentForm(tuple(blocks)), trace=trace)
 
 
 def recover_naive(p: Polynomial, r_max: int) -> Outcome:

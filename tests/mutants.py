@@ -43,6 +43,17 @@ class Mutant(NamedTuple):
 
 PARTITION_TESTS = ("tests/test_partition.py",)
 RECOVERY_TESTS = ("tests/test_recovery.py",)
+CLI_TESTS = ("tests/test_cli.py",)
+
+# the body of peel_block's loop for a block of one part
+ONE_PART_LOOP = (
+    "            a[v - 1 - k] -= lower\n"
+    "            if below is None:\n"
+    "                lower = lower * (bottom - k) // (k + 1)\n"
+    "            else:\n"
+    "                upper = below[k] - upper\n"
+    "                lower = upper - lower\n"
+)
 
 MUTANTS = [
     # random_partition's run-length unranking
@@ -145,7 +156,24 @@ MUTANTS = [
         "cli.py",
         "return int(text) if text.isdecimal() else None",
         "return int(text)",
-        ("tests/test_cli.py",),
+        CLI_TESTS,
+    ),
+    # the JSON λ and the stderr side channel
+    Mutant(
+        "_lambda_keys: a partition of exactly FLAT_PARTS_LIMIT parts loses lambda_flat",
+        "cli.py",
+        "total_parts <= FLAT_PARTS_LIMIT",
+        "total_parts < FLAT_PARTS_LIMIT",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "recover --format json: warnings also go to stderr",
+        "cli.py",
+        "        print(json.dumps(payload))\n",
+        "        print(json.dumps(payload))\n"
+        "        for warning in outcome.warnings if isinstance(outcome, Success) else ():\n"
+        "            print(f\"warning: {warning}\", file=sys.stderr)\n",
+        CLI_TESTS,
     ),
     # the shared binomial chain, which peel_block alone decides to reuse
     Mutant(
@@ -201,18 +229,24 @@ MUTANTS = [
     Mutant(
         "peel_block: one part subtracts after its own chain advances",
         "calculus.py",
-        "                a[v - 1 - k] -= lower\n"
-        "                lower = lower * (bottom - k) // (k + 1)\n",
+        ONE_PART_LOOP,
+        "            if below is None:\n"
         "                lower = lower * (bottom - k) // (k + 1)\n"
-        "                a[v - 1 - k] -= lower\n",
+        "                a[v - 1 - k] -= lower\n"
+        "            else:\n"
+        "                a[v - 1 - k] -= lower\n"
+        "                upper = below[k] - upper\n"
+        "                lower = upper - lower\n",
         ("tests/test_calculus.py",),
     ),
     Mutant(
         "peel_block: one part subtracts after the shared chain advances",
         "calculus.py",
+        ONE_PART_LOOP,
+        "            if below is None:\n"
         "                a[v - 1 - k] -= lower\n"
-        "                upper = below[k] - upper\n"
-        "                lower = upper - lower\n",
+        "                lower = lower * (bottom - k) // (k + 1)\n"
+        "            else:\n"
         "                upper = below[k] - upper\n"
         "                lower = upper - lower\n"
         "                a[v - 1 - k] -= lower\n",
@@ -232,14 +266,14 @@ MUTANTS = [
         "polynomial.py",
         "if power >= sys.maxsize:",
         "if power > sys.maxsize:",
-        ("tests/test_cli.py",),
+        CLI_TESTS,
     ),
     Mutant(
         "parse_partition: the part sys.maxsize passes",
         "partition.py",
         "if value >= sys.maxsize:",
         "if value > sys.maxsize:",
-        ("tests/test_cli.py",),
+        CLI_TESTS,
     ),
     # the decider and its trace
     Mutant(
@@ -248,9 +282,9 @@ MUTANTS = [
         "        above = peel_block(a, m + 1, start, end, above)\n"
         "        blocks.append((m + 1, r))\n"
         "        if want_trace:\n"
-        "            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)))\n",
+        "            trace += (TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)),)\n",
         "        if want_trace:\n"
-        "            trace.append(TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)))\n"
+        "            trace += (TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)),)\n"
         "        above = peel_block(a, m + 1, start, end, above)\n"
         "        blocks.append((m + 1, r))\n",
         RECOVERY_TESTS,
@@ -270,17 +304,17 @@ MUTANTS = [
         RECOVERY_TESTS,
     ),
     Mutant(
-        "recover_delta: no round left for the final zero check",
+        "recover_delta: the pass stops above a_0, so no block of 1s is peeled",
         "recovery.py",
-        "range(n + 2)",
-        "range(n + 1)",
+        "range(n, -1, -1)",
+        "range(n, 0, -1)",
         RECOVERY_TESTS,
     ),
     Mutant(
         "recover_delta: an early return drops the requested trace",
         "recovery.py",
-        "no_steps = () if want_trace else None",
-        "no_steps = None if want_trace else None",
+        "return NotHilbert(NonIntegerValued(), trace)",
+        "return NotHilbert(NonIntegerValued())",
         RECOVERY_TESTS,
     ),
     # the reference window

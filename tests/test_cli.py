@@ -325,6 +325,49 @@ def test_build_reads_runs_without_expanding(monkeypatch, capsys):
     assert doc["polynomial"] == "500000000000*x^2 - 499999999997999999999999*x + 166666666665666666666667500000000006"
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["build", "(3^1000000000000,2,1^5)", "--format", "json"],
+            '{"input": "(3^1000000000000,2,1^5)", "lambda_flat": null,'
+            ' "lambda_exp": [[3, 1000000000000], [2, 1], [1, 5]],'
+            ' "polynomial": "500000000000*x^2 - 499999999997999999999999*x + 166666666665666666666667500000000006",'
+            ' "coeffs": ["166666666665666666666667500000000006", "-499999999997999999999999", "500000000000"],'
+            ' "warnings": ["partition has 1000000000006 parts; lambda_flat suppressed, see lambda_exp"]}',
+        ),
+        (
+            ["random", "2", "1000000000000", "--seed", "1", "--format", "json"],
+            '{"lambda_flat": null, "lambda_exp": [[2, 275052464042], [1, 1148582861]],'
+            ' "polynomial": "275052464042*x - 37826928987374124209958",'
+            ' "warnings": ["partition has 276201046903 parts; lambda_flat suppressed, see lambda_exp"]}',
+        ),
+        (
+            ["recover", "0", "--format", "json", "--ambient", "1", "--verbose"],
+            '{"input": "0", "hilbert": true, "lambda_flat": [], "lambda_exp": [], "reason": null,'
+            ' "warnings": ["zero polynomial: empty partition by convention"], "ambient": {"n": 1, "ok": true},'
+            ' "trace": []}',
+        ),
+    ],
+)
+def test_json_lines_keep_their_key_order(monkeypatch, capsys, argv, line):
+    # comparing parsed dicts would not see the order; warnings go to stdout only, in the object
+    code, out, err = run_cli(monkeypatch, capsys, argv)
+    assert (code, out, err) == (0, line + "\n", "")
+
+
+def test_flat_parts_limit_is_inclusive(monkeypatch, capsys):
+    limit = cli.FLAT_PARTS_LIMIT
+    code, out, _ = run_cli(monkeypatch, capsys, ["build", f"(1^{limit})", "--format", "json"])
+    doc = json.loads(out)
+    assert (code, doc["lambda_flat"], doc["lambda_exp"]) == (0, [1] * limit, [[1, limit]])
+    assert "warnings" not in doc
+    code, out, _ = run_cli(monkeypatch, capsys, ["build", f"(1^{limit + 1})", "--format", "json"])
+    doc = json.loads(out)
+    assert (code, doc["lambda_flat"], doc["lambda_exp"]) == (0, None, [[1, limit + 1]])
+    assert doc["warnings"] == [f"partition has {limit + 1} parts; lambda_flat suppressed, see lambda_exp"]
+
+
 def test_error_without_text_names_its_type(monkeypatch, capsys):
     def out_of_memory(text):
         raise MemoryError()
