@@ -7,6 +7,8 @@ what the call for the block above returned, and reuses that binomial chain,
 by Pascal's rule, when its value is one less.  A block of one part is a
 single binomial term whose coefficients are that chain alone, so it walks
 only that chain, and by subtractions alone when the chain above is reused.
+A chain multiplied out squares for C(c, 2) = (c*c - c) / 2 and 24 C(c, 4) =
+(c*c - 3c + 1)**2 - 1, as CPython squares faster than it multiplies.
 :class:`Sequence`, :func:`delta` and :func:`reduce` difference a finite
 window of samples f(0), ..., f(k-1) directly: the reference route to the
 same degrees and leading coefficients, kept for tests and demos.
@@ -118,25 +120,39 @@ def peel_block(a: list[int], v: int, start: int, end: int, above: tuple | None =
     Without a chain from above only that chain is multiplied out.  With
     one, Pascal's rule steps twice, C(bottom, k + 1) = C(top, k + 1) -
     C(bottom, k), and the peel takes subtractions only.
+
+    A chain multiplied out steps C(c, k + 1) = C(c, k) (c - k) / (k + 1), a
+    lopsided product, but squares at k = 1 and 3, as a square shares its
+    Karatsuba halves: C(c, 2) = (c*c - c) >> 1 and, with u = C(c, 2) - c,
+    C(c, 4) = (u*u + u) // 6 = ((c*c - 3c + 1)**2 - 1) // 24.
     """
     below = above[1] if above is not None and above[0] == v + 1 else None
-    chain = []
-    upper = lower = 1
     top, bottom = v - start + 1, v - end
+    chain, upper, lower = [bottom], top, bottom  # step k = 0: C(c, 1) = c
+    a[v - 1] -= top - bottom
     if end == start:
-        for k in range(v):
+        for k in range(1, v):
             a[v - 1 - k] -= lower
-            if below is None:
-                lower = lower * (bottom - k) // (k + 1)
-            else:
+            if below is not None:
                 upper = below[k] - upper
                 lower = upper - lower
+            elif k > 3 or k == 2:
+                lower = lower * (bottom - k) // (k + 1)
+            else:
+                lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6
             chain.append(lower)
         return v, chain
-    for k in range(v):
+    for k in range(1, v):
         # exact: C(c, k) * (c - k) == (k + 1) * C(c, k + 1), for any integer c
-        upper = upper * (top - k) // (k + 1) if below is None else below[k] - upper
-        lower = lower * (bottom - k) // (k + 1)
+        if k > 3 or k == 2:  # every step but k = 1 and 3, which square
+            upper = upper * (top - k) // (k + 1) if below is None else below[k] - upper
+            lower = lower * (bottom - k) // (k + 1)
+        elif k == 1:
+            upper = pair = (top * top - top) >> 1 if below is None else below[1] - upper
+            lower = (bottom * bottom - bottom) >> 1
+        else:
+            upper = ((u := pair - top) * u + u) // 6 if below is None else below[3] - upper
+            lower = ((u := chain[1] - bottom) * u + u) // 6
         chain.append(lower)
         a[v - 1 - k] -= upper - lower
     return v, chain

@@ -48,11 +48,13 @@ CLI_TESTS = ("tests/test_cli.py",)
 # the body of peel_block's loop for a block of one part
 ONE_PART_LOOP = (
     "            a[v - 1 - k] -= lower\n"
-    "            if below is None:\n"
-    "                lower = lower * (bottom - k) // (k + 1)\n"
-    "            else:\n"
+    "            if below is not None:\n"
     "                upper = below[k] - upper\n"
     "                lower = upper - lower\n"
+    "            elif k > 3 or k == 2:\n"
+    "                lower = lower * (bottom - k) // (k + 1)\n"
+    "            else:\n"
+    "                lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6\n"
 )
 
 MUTANTS = [
@@ -230,26 +232,83 @@ MUTANTS = [
         "peel_block: one part subtracts after its own chain advances",
         "calculus.py",
         ONE_PART_LOOP,
-        "            if below is None:\n"
+        "            if below is not None:\n"
+        "                a[v - 1 - k] -= lower\n"
+        "                upper = below[k] - upper\n"
+        "                lower = upper - lower\n"
+        "            elif k > 3 or k == 2:\n"
         "                lower = lower * (bottom - k) // (k + 1)\n"
         "                a[v - 1 - k] -= lower\n"
         "            else:\n"
-        "                a[v - 1 - k] -= lower\n"
-        "                upper = below[k] - upper\n"
-        "                lower = upper - lower\n",
+        "                lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6\n"
+        "                a[v - 1 - k] -= lower\n",
         ("tests/test_calculus.py",),
     ),
     Mutant(
         "peel_block: one part subtracts after the shared chain advances",
         "calculus.py",
         ONE_PART_LOOP,
-        "            if below is None:\n"
-        "                a[v - 1 - k] -= lower\n"
-        "                lower = lower * (bottom - k) // (k + 1)\n"
-        "            else:\n"
+        "            if below is not None:\n"
         "                upper = below[k] - upper\n"
         "                lower = upper - lower\n"
-        "                a[v - 1 - k] -= lower\n",
+        "                a[v - 1 - k] -= lower\n"
+        "            else:\n"
+        "                a[v - 1 - k] -= lower\n"
+        "                if k > 3 or k == 2:\n"
+        "                    lower = lower * (bottom - k) // (k + 1)\n"
+        "                else:\n"
+        "                    lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6\n",
+        ("tests/test_calculus.py",),
+    ),
+    # the steps peel_block takes apart: C(c, 1) = c before its loops, and the
+    # squares for C(c, 2) and C(c, 4) in each chain it multiplies out
+    Mutant(
+        "peel_block: the first step, C(c, 1) = c, subtracts nothing",
+        "calculus.py",
+        "    a[v - 1] -= top - bottom\n",
+        "",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: the lower chain's C(b, 2) square shifts by 2",
+        "calculus.py",
+        "lower = (bottom * bottom - bottom) >> 1\n",
+        "lower = (bottom * bottom - bottom) >> 2\n",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: the lower chain's C(b, 4) square subtracts u",
+        "calculus.py",
+        "lower = ((u := chain[1] - bottom) * u + u) // 6",
+        "lower = ((u := chain[1] - bottom) * u - u) // 6",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: the upper chain's C(t, 2) square shifts by 2",
+        "calculus.py",
+        "(top * top - top) >> 1",
+        "(top * top - top) >> 2",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: the upper chain's C(t, 4) square subtracts u",
+        "calculus.py",
+        "((u := pair - top) * u + u) // 6",
+        "((u := pair - top) * u - u) // 6",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: one part's C(b, 2) square shifts by 2",
+        "calculus.py",
+        "(bottom * bottom - bottom) >> 1 if k == 1",
+        "(bottom * bottom - bottom) >> 2 if k == 1",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: one part's C(b, 4) square takes u from C(b, 3)",
+        "calculus.py",
+        "else ((u := chain[1] - bottom) * u + u) // 6",
+        "else ((u := chain[2] - bottom) * u + u) // 6",
         ("tests/test_calculus.py",),
     ),
     # numbers past the int-to-str digit limit

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -247,6 +248,35 @@ def test_peel_block_single_parts_match_the_two_chain_walk():
                 term = [binomial_seq_value(k, v - start) for k in range(v)] if multiplicity else [0] * v
                 assert [before[v - 1 - k] - a[v - 1 - k] for k in range(v)] == term, (first, runs)
                 start = end + 1
+
+
+def test_peel_block_chains_at_karatsuba_sizes():
+    # starts and spans of 10**700 and 10**5000 (2 300 and 16 600 bits) take
+    # the chains, whose C(c, 2) and C(c, 4) are squarings, past CPython's
+    # Karatsuba cutoffs (about 2 100 bits for a product and 4 200 for a
+    # square); v = 1..8 covers chains that stop before either square.
+    # Gaps and first blocks multiply out both chains, adjacent values hand
+    # the chain down, and one-part blocks walk one chain, with or without it
+    rng = random.Random(14)
+    big = (10**700, 10**5000)
+    seen = set()
+    for _ in range(60):
+        value, runs = rng.randint(1, 8), []
+        while value >= 1:
+            runs.append((value, rng.choice([0, 1, 1, 2, rng.choice(big) + rng.randrange(10**6)])))
+            value -= rng.choice([1, 1, 2, 3])
+        a = [rng.randint(-(10**6), 10**6) for _ in range(runs[0][0])]
+        reference = list(a)
+        start, above = rng.choice(big) - rng.randrange(10**6), None
+        for v, multiplicity in runs:
+            end = start + multiplicity - 1
+            seen.add((end == start, above is not None and above[0] == v + 1, v >= 4))
+            above = peel_block(a, v, start, end, above)
+            assert above == (v, two_chain_peel(reference, v, start, end)), runs
+            assert a == reference, runs
+            assert above[1] == [binomial_seq_value(k, v - end) for k in range(1, v + 1)], runs
+            start = end + 1
+    assert seen == set(itertools.product((False, True), repeat=3))  # (one part, chain reused, v >= 4)
 
 
 def test_peel_block_ignores_a_chain_not_one_value_up():

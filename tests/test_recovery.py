@@ -192,6 +192,17 @@ def test_astronomical_answers_evaluate_to_the_input(c, k):
     assert [telescoped_value(outcome.form, x) for x in range(k + 2)] == [c * x**k for x in range(k + 2)]
 
 
+def test_x14_answer_is_pinned():
+    # the telescoped check above takes over a second for x^14, so its answer
+    # is pinned instead: 15 blocks, values 15 down to 1, and the last
+    # multiplicity's size and residue mod the prime 2**61 - 1
+    outcome = recover_delta(parse_polynomial("x^14"))
+    assert isinstance(outcome, Success)
+    assert [v for v, _ in outcome.form.pairs] == list(range(15, 0, -1))
+    last = outcome.form.pairs[-1][1]
+    assert (last.bit_length(), last % (2**61 - 1)) == (579065, 315206720885538779)
+
+
 def test_subtract_block_validates_arguments():
     window = Sequence([1, 4])
     with pytest.raises(ValueError):
