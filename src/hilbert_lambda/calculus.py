@@ -88,11 +88,8 @@ def binomial_seq_value(d: int, x: int) -> int:
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    # d consecutive integers are always divisible by d!; checked anyway.
-    quotient, remainder = divmod(math.prod(range(x - d + 1, x + 1)), math.factorial(d))
-    if remainder:
-        raise ArithmeticError("falling factorial not divisible by d!")
-    return quotient
+    # reflection: x(x-1)...(x-d+1) = (-1)^d (d-x-1)(d-x-2)...(-x) for negative x
+    return math.comb(x, d) if x >= 0 else (-1) ** d * math.comb(d - x - 1, d)
 
 
 def peel_block(a: list[int], v: int, start: int, end: int, above: tuple | None = None) -> tuple[int, list[int]]:

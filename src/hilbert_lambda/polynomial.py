@@ -50,7 +50,7 @@ class Polynomial:
     ``Polynomial(rationals)`` and :meth:`from_integers` both reduce to it.
     """
 
-    __slots__ = ("scale", "numerators", "_coeffs")
+    __slots__ = ("scale", "numerators")
 
     def __new__(cls, coeffs: Iterable[Rational] = ()) -> Polynomial:
         cs = [Fraction(c) for c in coeffs]
@@ -65,15 +65,13 @@ class Polynomial:
             ns.pop()
         g = math.gcd(scale, *ns)
         p = object.__new__(cls)
-        p.scale, p.numerators, p._coeffs = scale // g, tuple([n // g for n in ns] if g > 1 else ns), None
+        p.scale, p.numerators = scale // g, tuple([n // g for n in ns] if g > 1 else ns)
         return p
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as :class:`Fraction` values, built on first read."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(n, self.scale) for n in self.numerators)
-        return self._coeffs
+        """The coefficients as :class:`Fraction` values, built on each read."""
+        return tuple(Fraction(n, self.scale) for n in self.numerators)
 
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial.
@@ -160,9 +158,7 @@ def digit_limit_text(digits: str) -> str:
 
 def format_rational(q: Fraction) -> str:
     """Canonical text for an exact rational: "a/b", with "/b" omitted when b is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(q)
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -171,26 +167,23 @@ def format_polynomial(p: Polynomial) -> str:
     Inverse of :func:`parse_polynomial`: parsing the output reproduces the
     polynomial coefficient-for-coefficient.
     """
-    if not p.coeffs:
-        return "0"
-    rendered: list[tuple[bool, str]] = []
-    for power in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[power]
+    coeffs, out = p.coeffs, ""
+    for power in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[power]
         if c == 0:
             continue
+        if not out:
+            out = "-" if c < 0 else ""
+        else:
+            out += " - " if c < 0 else " + "
         magnitude = abs(c)
         if power == 0:
-            body = format_rational(magnitude)
+            out += str(magnitude)
         elif magnitude == 1:
-            body = _power_text(power)
+            out += _power_text(power)
         else:
-            body = f"{format_rational(magnitude)}*{_power_text(power)}"
-        rendered.append((c < 0, body))
-    negative, body = rendered[0]
-    out = ("-" if negative else "") + body
-    for negative, body in rendered[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+            out += f"{magnitude}*{_power_text(power)}"
+    return out or "0"
 
 
 def _power_text(power: int) -> str:
@@ -234,10 +227,7 @@ def parse_polynomial(text: str) -> Polynomial:
             raise PolynomialSyntaxError(f"expected a term, found {text[at]!r}", at)
         if neg and not digits:
             raise PolynomialSyntaxError("expected digits", m.end("neg"))
-        try:  # int() refuses decimal digits only past the digit limit
-            numerator = int(digits) if digits else 1
-        except ValueError:
-            raise PolynomialSyntaxError(digit_limit_text(digits), m.start("int")) from None
+        numerator = _uint(m, "int") if digits else 1
         if (sign == "-") != (neg is not None):  # one minus sign, not two
             numerator = -numerator
         denominator = 1 if den is None else _denominator(m, "den")

@@ -384,6 +384,44 @@ MUTANTS = [
         "        if False:\n            raise ValueError",
         ("tests/test_calculus.py",),
     ),
+    # binomial_seq_value: math.comb, and its reflection for negative x
+    Mutant(
+        "binomial_seq_value: the reflection's sign is (-1)^(d + 1)",
+        "calculus.py",
+        "(-1) ** d * math.comb",
+        "(-1) ** (d + 1) * math.comb",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "binomial_seq_value: the reflection reads C(d - x, d)",
+        "calculus.py",
+        "math.comb(d - x - 1, d)",
+        "math.comb(d - x, d)",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        # at x = 0 and d = 0 the reflection asks math.comb for C(-1, 0)
+        "binomial_seq_value: x = 0 takes the reflection",
+        "calculus.py",
+        "if x >= 0 else",
+        "if x > 0 else",
+        ("tests/test_calculus.py",),
+    ),
+    # format_polynomial's one-pass render
+    Mutant(
+        "format_polynomial: a negative first term loses its minus",
+        "polynomial.py",
+        'out = "-"',
+        'out = ""',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "format_polynomial: the separators' signs are swapped",
+        "polynomial.py",
+        '" - " if c < 0 else " + "',
+        '" + " if c < 0 else " - "',
+        ("tests/test_polynomial.py",),
+    ),
     # the integer form of Polynomial
     Mutant(
         "from_integers: trailing zero numerators are kept",

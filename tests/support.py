@@ -254,6 +254,15 @@ class _CursorParser:
         return self.text[self.pos]
 
 
+def falling_factorial_binomial(d: int, x: int) -> int:
+    """Reference for ``binomial_seq_value``: the falling factorial
+    x(x-1)...(x-d+1) divided by d!, the body that ``math.comb`` replaced,
+    with its remainder checked."""
+    quotient, remainder = divmod(math.prod(range(x - d + 1, x + 1)), math.factorial(d))
+    assert remainder == 0, (d, x)
+    return quotient
+
+
 def newton_horner_reference(a: list[int]) -> Polynomial:
     """Reference for ``from_newton``: the Horner it replaced, which rebuilds
     its list from two shifted copies every round and ends with one

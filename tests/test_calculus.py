@@ -21,7 +21,7 @@ from hilbert_lambda.calculus import (
 from hilbert_lambda.partition import ExponentForm, build_hilbert
 from hilbert_lambda.polynomial import Polynomial, from_newton, sample_points
 from hilbert_lambda.recovery import Success, recover_delta
-from support import two_chain_peel
+from support import falling_factorial_binomial, two_chain_peel
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -134,9 +134,11 @@ def test_binomial_rejects_negative_degree():
 
 
 def test_binomial_matches_comb_on_nonnegative_arguments():
-    for d in range(7):
-        for x in range(12):
-            assert binomial_seq_value(d, x) == math.comb(x, d)
+    # against the falling-factorial quotient, as the body is math.comb itself:
+    # both signs of x, and x = 0, where comb and its reflection meet
+    for d in range(25):
+        for x in [*range(-40, 41), 10**40, -(10**40)]:
+            assert binomial_seq_value(d, x) == falling_factorial_binomial(d, x), (d, x)
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=-20, max_value=20))
