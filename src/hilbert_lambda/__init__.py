@@ -14,96 +14,11 @@ peels the block of equal parts read off the top nonzero a_k.
 cross-check oracle.
 """
 
-from __future__ import annotations
-
-from .calculus import (
-    LengthTooShortError,
-    Sequence,
-    binomial_seq_value,
-    delta,
-    is_integer_sequence,
-    reduce,
-)
-from .partition import (
-    ExponentForm,
-    NonPositivePartError,
-    NotNonIncreasingError,
-    Partition,
-    PartitionSyntaxError,
-    build_hilbert,
-    count_non_incr_seqs,
-    format_exponent_form,
-    format_partition,
-    from_exponent_form,
-    hilbert_value_at,
-    non_incr_seqs,
-    parse_partition,
-    random_partition,
-    to_exponent_form,
-)
-from .polynomial import (
-    DenominatorZeroError,
-    Polynomial,
-    PolynomialSyntaxError,
-    format_polynomial,
-    format_rational,
-    parse_polynomial,
-    sample_points,
-)
-from .recovery import (
-    NegativeLeadingMultiplicity,
-    NonIntegerValued,
-    NotHilbert,
-    Outcome,
-    Reason,
-    SearchExhausted,
-    Success,
-    TraceStep,
-    recover_delta,
-    recover_naive,
-    subtract_block,
-)
+from .calculus import *
+from .partition import *
+from .polynomial import *
+from .recovery import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DenominatorZeroError",
-    "ExponentForm",
-    "LengthTooShortError",
-    "NegativeLeadingMultiplicity",
-    "NonIntegerValued",
-    "NonPositivePartError",
-    "NotHilbert",
-    "NotNonIncreasingError",
-    "Outcome",
-    "Partition",
-    "PartitionSyntaxError",
-    "Polynomial",
-    "PolynomialSyntaxError",
-    "Reason",
-    "SearchExhausted",
-    "Sequence",
-    "Success",
-    "TraceStep",
-    "binomial_seq_value",
-    "build_hilbert",
-    "count_non_incr_seqs",
-    "delta",
-    "format_exponent_form",
-    "format_partition",
-    "format_polynomial",
-    "format_rational",
-    "from_exponent_form",
-    "hilbert_value_at",
-    "is_integer_sequence",
-    "non_incr_seqs",
-    "parse_partition",
-    "parse_polynomial",
-    "random_partition",
-    "recover_delta",
-    "recover_naive",
-    "reduce",
-    "sample_points",
-    "subtract_block",
-    "to_exponent_form",
-]
+__all__ = [*calculus.__all__, *partition.__all__, *polynomial.__all__, *recovery.__all__]

@@ -16,6 +16,15 @@ same degrees and leading coefficients, kept for tests and demos.
 
 from __future__ import annotations
 
+__all__ = [
+    "LengthTooShortError",
+    "Sequence",
+    "binomial_seq_value",
+    "delta",
+    "is_integer_sequence",
+    "reduce",
+]
+
 import math
 from fractions import Fraction
 from typing import Iterable, Union

@@ -99,7 +99,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _error_text(exc: Exception) -> str:
-    # a MemoryError has no text of its own
+    # a number too long to print raises a plain ValueError that advises raising
+    # the digit limit, which the CLI never does; a MemoryError has no text of its own
+    if type(exc) is ValueError and "int_max_str_digits" in str(exc):
+        return f"a number in the output is past Python's {sys.get_int_max_str_digits()}-digit limit"
     return str(exc) or type(exc).__name__
 
 

@@ -21,6 +21,24 @@ its index in the flat partition.
 
 from __future__ import annotations
 
+__all__ = [
+    "ExponentForm",
+    "NonPositivePartError",
+    "NotNonIncreasingError",
+    "Partition",
+    "PartitionSyntaxError",
+    "build_hilbert",
+    "count_non_incr_seqs",
+    "format_exponent_form",
+    "format_partition",
+    "from_exponent_form",
+    "hilbert_value_at",
+    "non_incr_seqs",
+    "parse_partition",
+    "random_partition",
+    "to_exponent_form",
+]
+
 import itertools
 import math
 import random

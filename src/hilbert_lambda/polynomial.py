@@ -20,6 +20,16 @@ integer form of :class:`Polynomial`, and only its ``coeffs`` view builds
 
 from __future__ import annotations
 
+__all__ = [
+    "DenominatorZeroError",
+    "Polynomial",
+    "PolynomialSyntaxError",
+    "format_polynomial",
+    "format_rational",
+    "parse_polynomial",
+    "sample_points",
+]
+
 import math
 import re
 import sys

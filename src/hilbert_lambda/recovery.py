@@ -24,6 +24,20 @@ built inside the engines; ``Success.flat()`` materializes it on demand.
 
 from __future__ import annotations
 
+__all__ = [
+    "NegativeLeadingMultiplicity",
+    "NonIntegerValued",
+    "NotHilbert",
+    "Outcome",
+    "Reason",
+    "SearchExhausted",
+    "Success",
+    "TraceStep",
+    "recover_delta",
+    "recover_naive",
+    "subtract_block",
+]
+
 from itertools import chain
 from typing import NamedTuple
 

@@ -160,6 +160,13 @@ MUTANTS = [
         "return int(text)",
         CLI_TESTS,
     ),
+    Mutant(
+        "_error_text: an answer past the digit limit keeps CPython's advice to raise it",
+        "cli.py",
+        'if type(exc) is ValueError and "int_max_str_digits" in str(exc):',
+        "if False:",
+        CLI_TESTS,
+    ),
     # the JSON λ and the stderr side channel
     Mutant(
         "_lambda_keys: a partition of exactly FLAT_PARTS_LIMIT parts loses lambda_flat",
@@ -349,10 +356,10 @@ MUTANTS = [
         RECOVERY_TESTS,
     ),
     Mutant(
-        "recover_delta: no integrality check, so x/2 decides as the empty partition",
+        "recover_delta: no Pólya integrality check, so x/2 decides as the empty partition",
         "recovery.py",
-        "    if any(value % scale for value in a):\n",
-        "    if False:\n",
+        "any(value % scale for value in a)",
+        "False",
         RECOVERY_TESTS,
     ),
     Mutant(
@@ -443,6 +450,43 @@ MUTANTS = [
         "return Fraction(acc * v, self.scale * power)",
         "return Fraction(acc, self.scale * power)",
         ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "newton_coeffs: each synthetic division stops one coefficient early",
+        "polynomial.py",
+        "range(n - 1, k - 1, -1)",
+        "range(n - 1, k, -1)",
+        ("tests/test_polynomial.py",),
+    ),
+    # parse_polynomial's signs and divisors
+    Mutant(
+        "parse_polynomial: two minus signs negate, one does not",
+        "polynomial.py",
+        '(sign == "-") != (neg is not None)',
+        '(sign == "-") == (neg is not None)',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "parse_polynomial: a trailing divisor replaces the coefficient's denominator",
+        "polynomial.py",
+        'denominator *= _denominator(m, "div")',
+        'denominator = _denominator(m, "div")',
+        ("tests/test_polynomial.py",),
+    ),
+    # each public name in one module's __all__, gathered by the package
+    Mutant(
+        "recovery.__all__: recover_naive is not exported",
+        "recovery.py",
+        '    "recover_naive",\n',
+        "",
+        ("tests/test_package.py",),
+    ),
+    Mutant(
+        "recovery.__all__: lists reduce, which calculus defines and exports",
+        "recovery.py",
+        '    "subtract_block",\n]',
+        '    "subtract_block",\n    "reduce",\n]',
+        ("tests/test_package.py",),
     ),
 ]
 

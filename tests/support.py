@@ -49,6 +49,11 @@ def past_digit_limit(digits: int) -> str:
     return f"{digits}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
 
 
+def output_past_digit_limit() -> str:
+    """The message for an answer with a number too long for the interpreter's limit to print."""
+    return f"a number in the output is past Python's {sys.get_int_max_str_digits()}-digit limit"
+
+
 def assert_record_contract(record, fields: dict, text: str, other=None) -> None:
     """``record`` is an immutable value shown as ``text``: built again from
     ``fields`` by keyword it equals ``record`` and hashes alike, ``other``, if

@@ -21,7 +21,7 @@ from hilbert_lambda.partition import (
 )
 from hilbert_lambda.polynomial import format_polynomial
 from hilbert_lambda.recovery import recover_delta
-from support import RECOVER_SCHEMA, needs_digit_limit, past_digit_limit, run_cli
+from support import RECOVER_SCHEMA, needs_digit_limit, output_past_digit_limit, past_digit_limit, run_cli
 
 validator = Draft202012Validator(RECOVER_SCHEMA)
 
@@ -222,7 +222,7 @@ def test_batch_keeps_deciding_after_a_crashing_line(monkeypatch, capsys):
     docs = [json.loads(line) for line in out.splitlines()]
     assert [doc["input"] for doc in docs] == ["3*x+1", "x^10", "x"]
     assert (docs[0]["hilbert"], docs[2]["hilbert"]) == (True, False)
-    assert set(docs[1]) == {"input", "error"}
+    assert docs[1] == {"input": "x^10", "error": output_past_digit_limit()}
 
 
 @needs_digit_limit
@@ -472,6 +472,25 @@ def test_numbers_past_the_digit_limit_say_so(monkeypatch, capsys, argv, where):
     if argv[0] == "recover":  # polynomial text gets its column and caret
         assert err.splitlines()[0].endswith("at column 2")
         assert err.splitlines()[2] == "    ^"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "x^10"],
+        ["recover", "x^10", "--verbose"],
+        ["recover", "x^10", "--format", "json"],
+        ["build", f"(3^{'9' * 2200})"],
+        ["build", f"(3^{'9' * 2200})", "--format", "json"],
+    ],
+)
+def test_answers_past_the_digit_limit_say_so(monkeypatch, capsys, argv):
+    # x^10's multiplicities and the cube of a 2200-digit multiplicity print past the limit
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(monkeypatch, capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {output_past_digit_limit()}\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(
