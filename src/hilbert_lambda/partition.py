@@ -228,6 +228,8 @@ def random_partition(max_part: int, max_len: int, rng: random.Random) -> Exponen
     """
     if max_part < 1 or max_len < 1:
         raise ValueError("max_part and max_len must be >= 1")
+    if max_part >= sys.maxsize:  # as parse_partition's parts: build_hilbert sizes a list by the largest part
+        raise ValueError(f"max_part {max_part} is too large (must be below {sys.maxsize})")
     # padded to length max_len with max_part + 1 for each missing part, the
     # partitions are the non-increasing sequences over {1..max_part + 1}: in
     # descending lex order more padding comes first, and index 0 is the empty one

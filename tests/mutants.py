@@ -184,6 +184,35 @@ MUTANTS = [
         "            print(f\"warning: {warning}\", file=sys.stderr)\n",
         CLI_TESTS,
     ),
+    # what each subcommand prints, and how the entry point ends
+    Mutant(
+        "run: SIGPIPE is ignored, so a writer whose reader goes early does not end quietly",
+        "cli.py",
+        "signal.SIG_DFL",
+        "signal.SIG_IGN",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "recover --verbose: the text trace's residual has a space after each comma",
+        "cli.py",
+        '",".join(map(str, step.residual))',
+        '", ".join(map(str, step.residual))',
+        CLI_TESTS,
+    ),
+    Mutant(
+        "check: an argument prints its verdict too",
+        "cli.py",
+        "if args.polynomial is None:",
+        "if True:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "recover --ambient: a largest part equal to N does not fit",
+        "cli.py",
+        "pairs[0][0] <= ambient",
+        "pairs[0][0] < ambient",
+        CLI_TESTS,
+    ),
     # the shared binomial chain, which peel_block alone decides to reuse
     Mutant(
         "peel_block: reuses the chain of a block two values above",
@@ -456,6 +485,21 @@ MUTANTS = [
         "polynomial.py",
         "range(n - 1, k - 1, -1)",
         "range(n - 1, k, -1)",
+        ("tests/test_polynomial.py",),
+    ),
+    # Polynomial's repr and equality
+    Mutant(
+        "Polynomial.__repr__: shows each coefficient's repr, Fraction(1, 2), not 1/2",
+        "polynomial.py",
+        "[str(c) for c in self.coeffs]",
+        "[repr(c) for c in self.coeffs]",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "Polynomial.__eq__: a non-Polynomial compares False instead of deferring",
+        "polynomial.py",
+        "return NotImplemented",
+        "return False",
         ("tests/test_polynomial.py",),
     ),
     # parse_polynomial's signs and divisors

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -86,6 +87,12 @@ def test_recover_text_huge_partition_stays_compact(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["recover", "2*x^3 + 3"])
     assert code == 0
     assert out == "λ = (4^12,3^42,2^1159,1^709559)\n"
+    # x^9's multiplicities take their chains' squared steps, still under the digit limit
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "x^9"])
+    assert (code, err) == (0, "")
+    data = out.encode("utf-8")
+    assert len(data) == 5425
+    assert hashlib.sha256(data).hexdigest() == "09f9e07a45d92da02158f041b94a82f166314ee6e9e858d8bb9c17f6aef1a2a4"
 
 
 def test_recover_json_failure(monkeypatch, capsys):
@@ -122,7 +129,8 @@ def test_recover_text_verbose_trace_on_stderr(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["recover", "3*x + 1", "--verbose"])
     assert code == 0
     assert out == "λ = (2^3,1)\n"
-    assert "trace: m=1 r=3 s=1 e=3 residual=(1,0)" in err
+    # each round's Newton residual a_0..a_n after its peel, and nothing else
+    assert err == "trace: m=1 r=3 s=1 e=3 residual=(1,0)\ntrace: m=0 r=1 s=4 e=4 residual=(0,0)\n"
 
 
 def test_recover_ambient_text(monkeypatch, capsys):
@@ -325,35 +333,52 @@ def test_build_reads_runs_without_expanding(monkeypatch, capsys):
     assert doc["polynomial"] == "500000000000*x^2 - 499999999997999999999999*x + 166666666665666666666667500000000006"
 
 
+# (argv, stdin, exit code, line)
+KEY_ORDER_ROWS = [
+    (
+        ["build", "(3^1000000000000,2,1^5)", "--format", "json"],
+        None,
+        0,
+        '{"input": "(3^1000000000000,2,1^5)", "lambda_flat": null,'
+        ' "lambda_exp": [[3, 1000000000000], [2, 1], [1, 5]],'
+        ' "polynomial": "500000000000*x^2 - 499999999997999999999999*x + 166666666665666666666667500000000006",'
+        ' "coeffs": ["166666666665666666666667500000000006", "-499999999997999999999999", "500000000000"],'
+        ' "warnings": ["partition has 1000000000006 parts; lambda_flat suppressed, see lambda_exp"]}',
+    ),
+    (
+        ["random", "2", "1000000000000", "--seed", "1", "--format", "json"],
+        None,
+        0,
+        '{"lambda_flat": null, "lambda_exp": [[2, 275052464042], [1, 1148582861]],'
+        ' "polynomial": "275052464042*x - 37826928987374124209958",'
+        ' "warnings": ["partition has 276201046903 parts; lambda_flat suppressed, see lambda_exp"]}',
+    ),
+    (
+        ["recover", "0", "--format", "json", "--ambient", "1", "--verbose"],
+        None,
+        0,
+        '{"input": "0", "hilbert": true, "lambda_flat": [], "lambda_exp": [], "reason": null,'
+        ' "warnings": ["zero polynomial: empty partition by convention"], "ambient": {"n": 1, "ok": true},'
+        ' "trace": []}',
+    ),
+    (
+        # a requested trace is there, empty, when the decision ends before a round
+        ["recover", "--verbose", "--format", "json"],
+        "x/2\n",
+        1,
+        '{"input": "x/2", "hilbert": false, "lambda_flat": [], "lambda_exp": [],'
+        ' "reason": "sample window contains non-integer values", "trace": []}',
+    ),
+]
+
+
+# each id is argv<index>-<line>, as pytest names the rows of argv and line alone
 @pytest.mark.parametrize(
-    "argv, line",
-    [
-        (
-            ["build", "(3^1000000000000,2,1^5)", "--format", "json"],
-            '{"input": "(3^1000000000000,2,1^5)", "lambda_flat": null,'
-            ' "lambda_exp": [[3, 1000000000000], [2, 1], [1, 5]],'
-            ' "polynomial": "500000000000*x^2 - 499999999997999999999999*x + 166666666665666666666667500000000006",'
-            ' "coeffs": ["166666666665666666666667500000000006", "-499999999997999999999999", "500000000000"],'
-            ' "warnings": ["partition has 1000000000006 parts; lambda_flat suppressed, see lambda_exp"]}',
-        ),
-        (
-            ["random", "2", "1000000000000", "--seed", "1", "--format", "json"],
-            '{"lambda_flat": null, "lambda_exp": [[2, 275052464042], [1, 1148582861]],'
-            ' "polynomial": "275052464042*x - 37826928987374124209958",'
-            ' "warnings": ["partition has 276201046903 parts; lambda_flat suppressed, see lambda_exp"]}',
-        ),
-        (
-            ["recover", "0", "--format", "json", "--ambient", "1", "--verbose"],
-            '{"input": "0", "hilbert": true, "lambda_flat": [], "lambda_exp": [], "reason": null,'
-            ' "warnings": ["zero polynomial: empty partition by convention"], "ambient": {"n": 1, "ok": true},'
-            ' "trace": []}',
-        ),
-    ],
+    "argv, stdin, code, line", KEY_ORDER_ROWS, ids=[f"argv{i}-{row[3]}" for i, row in enumerate(KEY_ORDER_ROWS)]
 )
-def test_json_lines_keep_their_key_order(monkeypatch, capsys, argv, line):
+def test_json_lines_keep_their_key_order(monkeypatch, capsys, argv, stdin, code, line):
     # comparing parsed dicts would not see the order; warnings go to stdout only, in the object
-    code, out, err = run_cli(monkeypatch, capsys, argv)
-    assert (code, out, err) == (0, line + "\n", "")
+    assert run_cli(monkeypatch, capsys, argv, stdin_text=stdin) == (code, line + "\n", "")
 
 
 def test_flat_parts_limit_is_inclusive(monkeypatch, capsys):
@@ -500,10 +525,11 @@ def test_answers_past_the_digit_limit_say_so(monkeypatch, capsys, argv):
         (["recover", f"3*x^{sys.maxsize} + 1"], "exponent is too large"),
         (["build", "(99999999999999999999)"], "part 99999999999999999999 is too large"),
         (["build", f"[{sys.maxsize},1]"], f"part {sys.maxsize} is too large"),
+        (["random", "99999999999999999999", "1", "--seed", "1"], "max_part 99999999999999999999 is too large"),
     ],
 )
 def test_powers_and_parts_from_sys_maxsize_on_say_so(monkeypatch, capsys, argv, error):
-    # a list sized by such a number cannot be made
+    # a list sized by such a number cannot be made, and random would take a step per value to it
     code, out, err = run_cli(monkeypatch, capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {error} (must be below {sys.maxsize})")

@@ -50,6 +50,9 @@ def test_equality_and_hash_on_canonical_form():
     assert Polynomial([1]) != Polynomial([2])
     assert not Polynomial([0])
     assert Polynomial([0, 1])
+    assert repr(Polynomial([1, Fraction(1, 2)])) == "Polynomial(['1', '1/2'])"
+    # a non-Polynomial is left to the other operand's __eq__
+    assert Polynomial([1]).__eq__(1) is NotImplemented
 
 
 def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
