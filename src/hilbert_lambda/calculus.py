@@ -9,9 +9,11 @@ single binomial term whose coefficients are that chain alone, so it walks
 only that chain, and by subtractions alone when the chain above is reused.
 A chain multiplied out squares for C(c, 2) = (c*c - c) / 2 and 24 C(c, 4) =
 (c*c - 3c + 1)**2 - 1, as CPython squares faster than it multiplies.
-:class:`Sequence`, :func:`delta` and :func:`reduce` difference a finite
-window of samples f(0), ..., f(k-1) directly: the reference route to the
-same degrees and leading coefficients, kept for tests and demos.
+:func:`block_value` is that block's value at one integer x, for evaluation.
+:class:`Sequence` and :func:`delta` difference a finite window of samples
+f(0), ..., f(k-1) directly, and :func:`reduce` repeats :func:`delta` until
+the window is constant: the reference route to the same degrees and
+leading coefficients, kept for tests and demos.
 """
 
 from __future__ import annotations
@@ -64,27 +66,21 @@ def delta(f: Sequence) -> Sequence:
 
 
 def reduce(f: Sequence) -> tuple[int, Fraction]:
-    """Difference ``f`` until the window becomes constant.
+    """Apply :func:`delta` until the window becomes constant.
 
     Returns ``(m, c)`` with ``m`` the number of difference passes applied
-    and ``c`` the constant the window settles at.  Runs the differencing
-    in place on a scratch copy, shrinking the live prefix each pass; the
-    input sequence is never modified.
+    and ``c`` the constant the window settles at; the input sequence is
+    never modified.
 
     The all-zero window is rejected: it would report ``(0, 0)``, and the
     sample-window recovery treats ``c`` as a multiplicity that must never be zero.
     """
-    scratch = list(f)
-    if all(v == 0 for v in scratch):
+    if not any(f):
         raise ValueError("reduce on an all-zero window")
-    end = len(scratch) - 1
     passes = 0
-    while not all(scratch[i] == scratch[0] for i in range(1, end + 1)):
-        for i in range(end):
-            scratch[i] = scratch[i + 1] - scratch[i]
-        passes += 1
-        end -= 1
-    return passes, scratch[0]
+    while len(set(f)) > 1:
+        f, passes = delta(f), passes + 1
+    return passes, f[0]
 
 
 def binomial_seq_value(d: int, x: int) -> int:
@@ -99,6 +95,13 @@ def binomial_seq_value(d: int, x: int) -> int:
         raise ValueError("d must be non-negative")
     # reflection: x(x-1)...(x-d+1) = (-1)^d (d-x-1)(d-x-2)...(-x) for negative x
     return math.comb(x, d) if x >= 0 else (-1) ** d * math.comb(d - x - 1, d)
+
+
+def block_value(v: int, start: int, end: int, x: int) -> int:
+    """Value at integer ``x`` of the block that :func:`peel_block` subtracts, the
+    sum over i in [start, end] of C(x + v - i, v - 1): telescoped, two binomial
+    values whatever the span; an empty span (end == start - 1) gives 0."""
+    return binomial_seq_value(v, x + v - start + 1) - binomial_seq_value(v, x + v - end)
 
 
 def peel_block(a: list[int], v: int, start: int, end: int, above: tuple | None = None) -> tuple[int, list[int]]:

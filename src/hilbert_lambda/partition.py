@@ -10,8 +10,8 @@ unique; the recovery engines in :mod:`hilbert_lambda.recovery` invert the
 construction.  Both directions share integer coefficients in the basis
 C(x, k) and the in-place block peel
 (:func:`hilbert_lambda.calculus.peel_block`), each peel handed the one
-above it so that it can reuse that binomial chain.  The build reads the
-runs straight off a :class:`Partition` or an :class:`ExponentForm`.
+above it so that it can reuse that binomial chain.  Build and evaluation
+read the runs straight off a :class:`Partition` or an :class:`ExponentForm`.
 
 Multiplicities can be astronomically large, so partition text is parsed,
 and a random partition drawn, straight into an :class:`ExponentForm`, and
@@ -48,7 +48,7 @@ from bisect import bisect_right
 from operator import attrgetter, neg
 from typing import Iterator
 
-from .calculus import binomial_seq_value, peel_block
+from .calculus import block_value, peel_block
 from .polynomial import Polynomial, digit_limit_text, from_newton
 
 
@@ -187,16 +187,19 @@ def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
     return from_newton([-b for b in a])
 
 
-def hilbert_value_at(partition: Partition, x: int) -> int:
+def hilbert_value_at(partition: Partition | ExponentForm, x: int) -> int:
     """Value at integer ``x`` of the polynomial the partition generates.
 
-    Computed via falling factorials without ever expanding coefficients;
-    the result is an integer for every integer ``x``, including negatives.
+    Sums :func:`hilbert_lambda.calculus.block_value` over the runs, read as
+    :func:`build_hilbert` reads them: one step per run, whatever its size.
+    The result is an integer for every integer ``x``, including negatives.
     """
-    return sum(
-        binomial_seq_value(part - 1, x + part - position)
-        for position, part in enumerate(partition.parts, start=1)
-    )
+    pairs = partition.pairs if isinstance(partition, ExponentForm) else _runs(partition.parts)
+    total, start = 0, 1
+    for value, multiplicity in pairs:
+        total += block_value(value, start, start + multiplicity - 1, x)
+        start += multiplicity
+    return total
 
 
 def non_incr_seqs(m: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -41,7 +41,7 @@ __all__ = [
 from itertools import chain
 from typing import NamedTuple
 
-from .calculus import Sequence, binomial_seq_value, is_integer_sequence, peel_block
+from .calculus import Sequence, block_value, is_integer_sequence, peel_block
 from .calculus import reduce  # noqa: F401  kept as recovery.reduce, which perfbench/worker.py traces
 from .partition import (
     ExponentForm,
@@ -119,11 +119,9 @@ def subtract_block(p: Sequence, n: int, part_value: int, start: int, end: int) -
     from the window values of ``p`` at x = 0..n.
 
     An empty span (end == start - 1) subtracts nothing.  The window must
-    cover exactly x = 0..n.
-
-    The sum telescopes through the Pascal identity (a polynomial identity,
-    so it survives negative arguments) to two binomial values per point,
-    so the cost does not depend on the span width, which can be astronomical.
+    cover exactly x = 0..n.  Each point takes the block's telescoped value
+    (:func:`hilbert_lambda.calculus.block_value`), two binomial values, so
+    the cost does not depend on the span width, which can be astronomical.
     """
     if len(p) != n + 1:
         raise ValueError(f"window has {len(p)} values, expected {n + 1}")
@@ -131,12 +129,7 @@ def subtract_block(p: Sequence, n: int, part_value: int, start: int, end: int) -
         raise ValueError("start must be >= 1")
     if end < start - 1:
         raise ValueError("end must be >= start - 1")
-    v = part_value
-    values = []
-    for x, value in enumerate(p):
-        block = binomial_seq_value(v, x + v - start + 1) - binomial_seq_value(v, x + v - end)
-        values.append(value - block)
-    return Sequence(values)
+    return Sequence(value - block_value(part_value, start, end, x) for x, value in enumerate(p))
 
 
 def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:

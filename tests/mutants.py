@@ -420,6 +420,42 @@ MUTANTS = [
         "        if False:\n            raise ValueError",
         ("tests/test_calculus.py",),
     ),
+    Mutant(
+        "reduce: counts no passes",
+        "calculus.py",
+        "f, passes = delta(f), passes + 1",
+        "f, passes = delta(f), passes",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "reduce: rejects any window with a zero, not only the all-zero one",
+        "calculus.py",
+        "if not any(f):",
+        "if not all(f):",
+        ("tests/test_calculus.py",),
+    ),
+    # evaluation on runs: block_value and hilbert_value_at
+    Mutant(
+        "block_value: the lower binomial reads one place high",
+        "calculus.py",
+        "binomial_seq_value(v, x + v - end)",
+        "binomial_seq_value(v, x + v - end + 1)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "hilbert_value_at: each run starts one part after the last run's start",
+        "partition.py",
+        "        total += block_value(value, start, start + multiplicity - 1, x)\n        start += multiplicity\n",
+        "        total += block_value(value, start, start + multiplicity - 1, x)\n        start += 1\n",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "hilbert_value_at: the ExponentForm dispatch is inverted",
+        "partition.py",
+        "partition.pairs if isinstance(partition, ExponentForm)",
+        "partition.pairs if not isinstance(partition, ExponentForm)",
+        PARTITION_TESTS,
+    ),
     # binomial_seq_value: math.comb, and its reflection for negative x
     Mutant(
         "binomial_seq_value: the reflection's sign is (-1)^(d + 1)",

@@ -25,7 +25,6 @@ from hilbert_lambda import (
     Polynomial,
     Success,
     TraceStep,
-    binomial_seq_value,
     build_hilbert,
     non_incr_seqs,
     random_partition,
@@ -294,19 +293,6 @@ def two_chain_peel(a: list[int], v: int, start: int, end: int) -> list[int]:
         chain.append(lower)
         a[v - 1 - k] -= upper - lower
     return chain
-
-
-def telescoped_value(form: ExponentForm, x: int) -> int:
-    """Value at integer ``x`` of the polynomial that ``form`` generates,
-    without ``peel_block``: by Pascal's rule the run of value v over parts
-    s..e sums to C(x + v - s + 1, v) - C(x + v - e, v), two falling-factorial
-    values whatever the run's length."""
-    total, start = 0, 1
-    for v, multiplicity in form.pairs:
-        end = start + multiplicity - 1
-        total += binomial_seq_value(v, x + v - start + 1) - binomial_seq_value(v, x + v - end)
-        start = end + 1
-    return total
 
 
 def fraction_horner(p: Polynomial, x: Fraction) -> Fraction:

@@ -83,6 +83,7 @@ def test_delta_is_linear(pairs, a, b):
 
 def test_reduce_constant_window():
     assert reduce(Sequence([5, 5, 5])) == (0, 5)
+    assert reduce(Sequence([7])) == (0, 7)
 
 
 def test_reduce_linear_windows():

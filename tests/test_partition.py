@@ -198,8 +198,11 @@ def test_build_hilbert_known_polynomials():
 
 
 def test_build_hilbert_accepts_exponent_form(partitions_923):
+    points = range(-3, 8)
     for lam in partitions_923:
-        assert build_hilbert(to_exponent_form(lam)) == build_hilbert(lam), lam
+        form = to_exponent_form(lam)
+        assert build_hilbert(form) == build_hilbert(lam), lam
+        assert [hilbert_value_at(form, x) for x in points] == [hilbert_value_at(lam, x) for x in points], lam
     assert build_hilbert(ExponentForm()) == Polynomial()
 
 
@@ -240,6 +243,13 @@ def test_hilbert_value_at_known_points():
     assert hilbert_value_at(Partition((3,)), 2) == 6
     assert hilbert_value_at(Partition((2, 1)), 0) == 2
     assert hilbert_value_at(Partition(()), 5) == 0
+    assert hilbert_value_at(ExponentForm(((2, 1), (1, 1))), 0) == 2
+    assert hilbert_value_at(ExponentForm(), 5) == 0
+    # past sys.maxsize parts, so only the runs can be evaluated
+    form = ExponentForm(((3, 10**30), (1, 2)))
+    p = build_hilbert(form)
+    for x in range(-3, 8):
+        assert hilbert_value_at(form, x) == p.evaluate(x), x
 
 
 @given(partitions, st.integers(min_value=-10, max_value=10))

@@ -13,6 +13,7 @@ from hilbert_lambda.partition import (
     ExponentForm,
     Partition,
     build_hilbert,
+    hilbert_value_at,
     random_partition,
     to_exponent_form,
 )
@@ -32,7 +33,6 @@ from support import (
     assert_record_contract,
     negative_lead_poly,
     shifted_hilbert_poly,
-    telescoped_value,
     window_recover,
 )
 
@@ -162,15 +162,15 @@ def test_recover_delta_survives_large_intermediate_multiplicities():
 
 
 def test_recover_delta_large_success_matches_window():
-    # independent check of a huge recovery: evaluate each recovered block
-    # through the same telescoped closed form and compare against p on the
+    # independent check of a huge recovery: evaluate each recovered run
+    # through its telescoped closed form and compare against p on the
     # sample window
     p = Polynomial([3, 0, 0, 2])
     outcome = recover_delta(p)
     assert isinstance(outcome, Success)
     assert outcome.form.pairs == ((4, 12), (3, 42), (2, 1159), (1, 709559))
     for x in range(p.degree() + 1):
-        assert telescoped_value(outcome.form, x) == p.evaluate(x)
+        assert hilbert_value_at(outcome.form, x) == p.evaluate(x)
 
 
 @pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 16)] + [f"9*x^{n}" for n in range(5, 12)])
@@ -186,10 +186,11 @@ def test_build_inverts_recover_at_astronomical_scale(text):
 @pytest.mark.parametrize("c, k", [(1, k) for k in range(8, 14)] + [(9, k) for k in range(5, 12)])
 def test_astronomical_answers_evaluate_to_the_input(c, k):
     # build and recover share peel_block, so a fault in it could cancel out
-    # in a round trip; the telescoped runs are evaluated without it
+    # in a round trip; hilbert_value_at evaluates the runs without it
     outcome = recover_delta(parse_polynomial(f"{c}*x^{k}"))
     assert isinstance(outcome, Success)
-    assert [telescoped_value(outcome.form, x) for x in range(k + 2)] == [c * x**k for x in range(k + 2)]
+    points = range(-2, k + 2)
+    assert [hilbert_value_at(outcome.form, x) for x in points] == [c * x**k for x in points]
 
 
 def test_x14_answer_is_pinned():
