@@ -10,11 +10,11 @@ coefficients: a window of samples is all it takes.
 
 from __future__ import annotations
 
-from hilbert_lambda import Polynomial, Sequence, delta, format_rational, reduce, sample_points
+from hilbert_lambda import Polynomial, Sequence, delta, reduce, sample_points
 
 
 def show(seq: Sequence) -> str:
-    return "(" + ", ".join(format_rational(v) for v in seq.window()) + ")"
+    return "(" + ", ".join(str(v) for v in seq.window()) + ")"
 
 
 # start from an arbitrary window of values

@@ -25,7 +25,7 @@ import sys
 from typing import Callable
 
 from .partition import build_hilbert, format_exponent_form, parse_partition, random_partition
-from .polynomial import PolynomialSyntaxError, digit_limit_text, format_polynomial, format_rational, parse_polynomial
+from .polynomial import PolynomialSyntaxError, digit_limit_text, format_polynomial, parse_polynomial
 from .recovery import Outcome, Success, recover_delta
 
 
@@ -215,7 +215,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     p = build_hilbert(form)
     if args.format == "json":
         lam, warnings = _lambda_keys(Success(form))
-        polynomial, coeffs = format_polynomial(p), [format_rational(c) for c in p.coeffs]
+        polynomial, coeffs = format_polynomial(p), [str(c) for c in p.coeffs]
         print(json.dumps({"input": args.partition, **lam, "polynomial": polynomial, "coeffs": coeffs, **warnings}))
     else:
         print(format_polynomial(p))

@@ -10,13 +10,16 @@ unique; the recovery engines in :mod:`hilbert_lambda.recovery` invert the
 construction.  Both directions share integer coefficients in the basis
 C(x, k) and the in-place block peel
 (:func:`hilbert_lambda.calculus.peel_block`), each peel handed the one
-above it so that it can reuse that binomial chain.  Build and evaluation
-read the runs straight off a :class:`Partition` or an :class:`ExponentForm`.
+above it so that it can reuse that binomial chain.
 
-Multiplicities can be astronomically large, so partition text is parsed,
-and a random partition drawn, straight into an :class:`ExponentForm`, and
-never expanded; the form checks its own validity and reports an offender by
-its index in the flat partition.
+Both records hold the same value, the runs ((value, multiplicity), ...):
+a :class:`Partition` finds them once, as it validates its flat parts, and
+expands them again only when ``parts`` is read.  Build, evaluation and the
+conversions between the two records read the runs, so none of them costs
+more than one step per run.  Multiplicities can be astronomically large,
+so partition text is parsed, and a random partition drawn, straight into
+an :class:`ExponentForm`, and never expanded; each record checks its own
+validity and reports an offender by its index in the flat partition.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ import math
 import random
 import re
 import sys
-from bisect import bisect_right
-from operator import attrgetter, neg
+from operator import attrgetter
 from typing import Iterator
 
 from .calculus import block_value, peel_block
@@ -69,7 +71,7 @@ class PartitionSyntaxError(ValueError):
 
 
 class _Frozen:
-    """One value in a private slot, read through a property named ``_field``; compared by type and value."""
+    """Runs in a private slot, shown and pickled as the property named ``_field``; compared by type and value."""
 
     __slots__ = ("_value",)
 
@@ -80,37 +82,45 @@ class _Frozen:
         return hash(self._value)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._field}={self._value!r})"
+        return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
 
     def __reduce__(self) -> tuple:
-        return type(self), (self._value,)  # unpickling validates, at every protocol
+        return type(self), (getattr(self, self._field),)  # unpickling validates, at every protocol
 
 
 class Partition(_Frozen):
-    """Non-increasing tuple of positive integers; may be empty."""
+    """Non-increasing tuple of positive integers; may be empty.  Held as its runs."""
 
     __slots__ = ()
     _field = "parts"
-    parts = property(attrgetter("_value"))
 
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
-        previous = None
+        starts, previous = [], None  # the index of each run's first part
         for index, part in enumerate(parts):
-            if part < 1:
-                raise NonPositivePartError(f"part {part} at index {index} is not positive")
-            if previous is not None and part > previous:
-                raise NotNonIncreasingError(index)
-            previous = part
-        self._value = parts
+            if part != previous:
+                if part < 1:
+                    raise NonPositivePartError(f"part {part} at index {index} is not positive")
+                if previous is not None and part > previous:
+                    raise NotNonIncreasingError(index)
+                starts.append(index)
+                previous = part
+        self._value = tuple((parts[start], end - start) for start, end in zip(starts, starts[1:] + [len(parts)]))
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        parts: list[int] = []
+        for value, multiplicity in self._value:
+            parts += [value] * multiplicity
+        return tuple(parts)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return sum(multiplicity for _, multiplicity in self._value)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
     def __bool__(self) -> bool:
-        return bool(self.parts)
+        return bool(self._value)
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -136,33 +146,19 @@ class ExponentForm(_Frozen):
             if value == previous:
                 raise ValueError("values must be strictly decreasing")
             previous, index = value, index + multiplicity
-        self._value = pairs
+        self._value = tuple(map(tuple, pairs))  # tuples, as a Partition holds, whatever sequences came in
 
 
 def to_exponent_form(partition: Partition) -> ExponentForm:
-    """Run-length encode equal parts."""
-    return ExponentForm(tuple(_runs(partition.parts)))
-
-
-def _runs(parts: tuple[int, ...]) -> list[tuple[int, int]]:
-    # (value, multiplicity) of each run of non-increasing parts: a run ends
-    # where -part first exceeds -value, found by bisection, so a run of any
-    # length costs O(log len(parts)) comparisons
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(parts):
-        j = bisect_right(parts, -parts[i], i, key=neg)
-        runs.append((parts[i], j - i))
-        i = j
-    return runs
+    """The partition's runs as an :class:`ExponentForm`, in one step per run."""
+    return ExponentForm(partition._value)
 
 
 def from_exponent_form(form: ExponentForm) -> Partition:
-    """Expand run-length pairs back into a flat partition."""
-    parts: list[int] = []
-    for value, multiplicity in form.pairs:
-        parts.extend([value] * multiplicity)
-    return Partition(tuple(parts))
+    """The flat partition of the form's runs, which are valid already and are not expanded."""
+    partition = object.__new__(Partition)
+    partition._value = form._value
+    return partition
 
 
 def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
@@ -170,15 +166,15 @@ def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
 
     The i-th part a_i (1-based) contributes a term of degree a_i - 1, so a
     non-empty partition yields degree a_1 - 1 and the empty one zero.  Each
-    run of equal parts, also of an :class:`ExponentForm`, is peeled off zeros
+    run of equal parts, read from either record, is peeled off zeros
     in the basis C(x, k) in O(value) integer operations, whatever its size,
     and the sum is negated once at the end.  Each peel is handed the one
     above it and reuses that binomial chain where it can.  A run of one
     part is a single binomial term and walks one chain only: a partition
     into distinct consecutive parts, such as a staircase, builds by
-    subtractions alone after its first part.  It reads the slot ``_value``, faster than the property.
+    subtractions alone after its first part.
     """
-    pairs = partition._value if isinstance(partition, ExponentForm) else _runs(partition._value)
+    pairs = partition._value
     a = [0] * (pairs[0][0] if pairs else 0)
     start, above = 1, None
     for value, multiplicity in pairs:
@@ -194,9 +190,8 @@ def hilbert_value_at(partition: Partition | ExponentForm, x: int) -> int:
     :func:`build_hilbert` reads them: one step per run, whatever its size.
     The result is an integer for every integer ``x``, including negatives.
     """
-    pairs = partition.pairs if isinstance(partition, ExponentForm) else _runs(partition.parts)
     total, start = 0, 1
-    for value, multiplicity in pairs:
+    for value, multiplicity in partition._value:
         total += block_value(value, start, start + multiplicity - 1, x)
         start += multiplicity
     return total

@@ -25,7 +25,6 @@ __all__ = [
     "Polynomial",
     "PolynomialSyntaxError",
     "format_polynomial",
-    "format_rational",
     "parse_polynomial",
     "sample_points",
 ]
@@ -164,11 +163,6 @@ def from_newton(a: list[int]) -> Polynomial:
 def digit_limit_text(digits: str) -> str:
     """Why ``int`` refused decimal digits (after an optional "-"): the int-to-str digit limit."""
     return f"{len(digits.lstrip('-'))}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical text for an exact rational: "a/b", with "/b" omitted when b is 1."""
-    return str(q)
 
 
 def format_polynomial(p: Polynomial) -> str:

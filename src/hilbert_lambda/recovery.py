@@ -19,7 +19,8 @@ the polynomial down.  Both return ``Success`` with the partition or
 Success carries the partition in run-length form.  Innocent-looking
 inputs decide to polynomials of partitions with astronomically many
 parts (already 2*x^3 + 3 goes that way), so the flat tuple is never
-built inside the engines; ``Success.flat()`` materializes it on demand.
+built inside the engines.  ``Success.flat()`` shares the runs with a
+:class:`Partition` in one step per run; reading its ``parts`` expands them.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ class Success(NamedTuple):
     trace: tuple[TraceStep, ...] | None = None
 
     def flat(self) -> Partition:
-        """Expand to the flat partition, one entry per part: recovered forms do not bound their count."""
+        """The flat partition, holding the form's runs: reading its ``parts``, iterating it,
+        its ``repr`` or a pickle expands them, and ``len()`` raises ``OverflowError``
+        past ``sys.maxsize`` parts."""
         return from_exponent_form(self.form)
 
 

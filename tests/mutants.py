@@ -120,15 +120,58 @@ MUTANTS = [
     Mutant(
         "_Frozen: copies and pickles are rebuilt empty",
         "partition.py",
-        "return type(self), (self._value,)",
+        "return type(self), (getattr(self, self._field),)",
         "return type(self), ()",
         PARTITION_TESTS,
     ),
     Mutant(
         "Partition: parts can be assigned",
         "partition.py",
-        'parts = property(attrgetter("_value"))',
-        'parts = property(attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
+        "        return tuple(parts)\n",
+        "        return tuple(parts)\n\n    @parts.setter\n    def parts(self, parts):\n        self._value = parts\n",
+        PARTITION_TESTS,
+    ),
+    # a Partition holds its runs, found as its parts are validated
+    Mutant(
+        "Partition: each run is one part longer",
+        "partition.py",
+        "(parts[start], end - start)",
+        "(parts[start], end - start + 1)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "Partition: the last run ends one part early",
+        "partition.py",
+        "starts[1:] + [len(parts)]",
+        "starts[1:] + [len(parts) - 1]",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "Partition: the previous part is never recorded, so every part starts a run",
+        "partition.py",
+        "                previous = part\n",
+        "",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "Partition: parts expands each run to one part",
+        "partition.py",
+        "parts += [value] * multiplicity",
+        "parts += [value]",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "Partition: len sums the values, not the multiplicities",
+        "partition.py",
+        "sum(multiplicity for _, multiplicity in self._value)",
+        "sum(value for value, _ in self._value)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "from_exponent_form: the last run is dropped",
+        "partition.py",
+        "partition._value = form._value",
+        "partition._value = form._value[:-1]",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -136,6 +179,13 @@ MUTANTS = [
         "partition.py",
         'pairs = property(attrgetter("_value"))',
         'pairs = property(attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: holds the sequences it was given, lists included",
+        "partition.py",
+        "self._value = tuple(map(tuple, pairs))",
+        "self._value = pairs",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -447,13 +497,6 @@ MUTANTS = [
         "partition.py",
         "        total += block_value(value, start, start + multiplicity - 1, x)\n        start += multiplicity\n",
         "        total += block_value(value, start, start + multiplicity - 1, x)\n        start += 1\n",
-        PARTITION_TESTS,
-    ),
-    Mutant(
-        "hilbert_value_at: the ExponentForm dispatch is inverted",
-        "partition.py",
-        "partition.pairs if isinstance(partition, ExponentForm)",
-        "partition.pairs if not isinstance(partition, ExponentForm)",
         PARTITION_TESTS,
     ),
     # binomial_seq_value: math.comb, and its reflection for negative x

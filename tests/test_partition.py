@@ -48,6 +48,11 @@ def test_partition_rejects_nonpositive_parts():
         Partition((0,))
     with pytest.raises(NonPositivePartError):
         Partition((3, -1))
+    # the offender's index counts parts, inside a run and after one
+    with pytest.raises(NonPositivePartError, match="part 0 at index 3 "):
+        Partition((3, 3, 3, 0))
+    with pytest.raises(NonPositivePartError, match="part 0 at index 0 "):
+        Partition((0, 0))
 
 
 def test_partition_rejects_increasing_parts():
@@ -56,6 +61,9 @@ def test_partition_rejects_increasing_parts():
     assert info.value.index == 1
     with pytest.raises(NotNonIncreasingError) as info:
         Partition((5, 3, 4, 4))
+    assert info.value.index == 2
+    with pytest.raises(NotNonIncreasingError) as info:
+        Partition((2, 2, 3))
     assert info.value.index == 2
 
 
@@ -93,6 +101,9 @@ def test_exponent_form_round_trip_examples():
     assert form.pairs == ((6, 2), (5, 1), (4, 1), (1, 3))
     assert from_exponent_form(form) == lam
     assert to_exponent_form(Partition(())).pairs == ()
+    # runs given as lists are held as tuples, as a Partition holds them
+    listed = ExponentForm([[6, 2], [5, 1], [4, 1], [1, 3]])
+    assert (listed, hash(listed), from_exponent_form(listed)) == (form, hash(form), lam)
 
 
 def test_exponent_form_validation():
@@ -201,6 +212,7 @@ def test_build_hilbert_accepts_exponent_form(partitions_923):
     points = range(-3, 8)
     for lam in partitions_923:
         form = to_exponent_form(lam)
+        assert form.pairs == tuple((value, len(list(run))) for value, run in itertools.groupby(lam.parts)), lam
         assert build_hilbert(form) == build_hilbert(lam), lam
         assert [hilbert_value_at(form, x) for x in points] == [hilbert_value_at(lam, x) for x in points], lam
     assert build_hilbert(ExponentForm()) == Polynomial()

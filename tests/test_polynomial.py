@@ -14,7 +14,6 @@ from hilbert_lambda.polynomial import (
     Polynomial,
     PolynomialSyntaxError,
     format_polynomial,
-    format_rational,
     from_newton,
     newton_coeffs,
     parse_polynomial,
@@ -182,12 +181,6 @@ def test_newton_coeffs_are_differences_of_samples():
         assert [Fraction(value, scale) for value in table] == expected, p
         # Pólya: every entry is a multiple of L exactly when p is integer-valued
         assert all(value % scale == 0 for value in table) == is_integer_sequence(sample_points(p, n)), p
-
-
-def test_format_rational():
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(Fraction(4)) == "4"
-    assert format_rational(Fraction(-5, 3)) == "-5/3"
 
 
 @pytest.mark.parametrize(

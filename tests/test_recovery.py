@@ -175,12 +175,13 @@ def test_recover_delta_large_success_matches_window():
 
 @pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 16)] + [f"9*x^{n}" for n in range(5, 12)])
 def test_build_inverts_recover_at_astronomical_scale(text):
-    # up to ~5e87 parts (9*x^5) and 1.29 Mbit multiplicities (x^15): only
-    # the run-length build rebuilds these answers
+    # up to ~5e87 parts (9*x^5) and 1.29 Mbit multiplicities (x^15): both
+    # records hold these answers as runs, and build reads the runs
     p = parse_polynomial(text)
     outcome = recover_delta(p)
     assert isinstance(outcome, Success)
     assert build_hilbert(outcome.form) == p
+    assert build_hilbert(outcome.flat()) == p
 
 
 @pytest.mark.parametrize("c, k", [(1, k) for k in range(8, 14)] + [(9, k) for k in range(5, 12)])
