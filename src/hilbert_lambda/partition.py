@@ -13,13 +13,14 @@ C(x, k) and the in-place block peel
 above it so that it can reuse that binomial chain.
 
 Both records hold the same value, the runs ((value, multiplicity), ...):
-a :class:`Partition` finds them once, as it validates its flat parts, and
-expands them again only when ``parts`` is read.  Build, evaluation and the
+a :class:`Partition` groups its flat parts into them once, and expands
+them again only when ``parts`` is read.  Build, evaluation and the
 conversions between the two records read the runs, so none of them costs
 more than one step per run.  Multiplicities can be astronomically large,
 so partition text is parsed, and a random partition drawn, straight into
-an :class:`ExponentForm`, and never expanded; each record checks its own
-validity and reports an offender by its index in the flat partition.
+an :class:`ExponentForm`, never expanded.  Runs from outside the package
+pass the :class:`ExponentForm` check, which names an offender by its flat
+index; runs the package builds valid itself are held unchecked.
 """
 
 from __future__ import annotations
@@ -81,11 +82,21 @@ class _Frozen:
     def __hash__(self) -> int:
         return hash(self._value)
 
+    def __bool__(self) -> bool:
+        return bool(self._value)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
 
     def __reduce__(self) -> tuple:
         return type(self), (getattr(self, self._field),)  # unpickling validates, at every protocol
+
+    @classmethod
+    def _holding(cls, runs: tuple[tuple[int, int], ...]):
+        """A record holding ``runs``, which the package built valid itself: they are not checked."""
+        record = object.__new__(cls)
+        record._value = runs
+        return record
 
 
 class Partition(_Frozen):
@@ -95,16 +106,7 @@ class Partition(_Frozen):
     _field = "parts"
 
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
-        starts, previous = [], None  # the index of each run's first part
-        for index, part in enumerate(parts):
-            if part != previous:
-                if part < 1:
-                    raise NonPositivePartError(f"part {part} at index {index} is not positive")
-                if previous is not None and part > previous:
-                    raise NotNonIncreasingError(index)
-                starts.append(index)
-                previous = part
-        self._value = tuple((parts[start], end - start) for start, end in zip(starts, starts[1:] + [len(parts)]))
+        self._value = ExponentForm((value, len(list(run))) for value, run in itertools.groupby(parts))._value
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -119,9 +121,6 @@ class Partition(_Frozen):
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def __bool__(self) -> bool:
-        return bool(self._value)
-
     def __str__(self) -> str:
         return format_partition(self)
 
@@ -134,8 +133,8 @@ class ExponentForm(_Frozen):
     pairs = property(attrgetter("_value"))
 
     def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
-        # index is the flat index of each run's first part
-        previous, index = None, 0
+        # the package's one check of runs; pairs is read once, so any iterable will do
+        runs, previous, index = [], None, 0  # index: the flat index of the run's first part
         for value, multiplicity in pairs:
             if value < 1:
                 raise NonPositivePartError(f"part {value} at index {index} is not positive")
@@ -145,20 +144,19 @@ class ExponentForm(_Frozen):
                 raise NotNonIncreasingError(index)
             if value == previous:
                 raise ValueError("values must be strictly decreasing")
+            runs.append((value, multiplicity))  # tuples, as a Partition holds, whatever sequences came in
             previous, index = value, index + multiplicity
-        self._value = tuple(map(tuple, pairs))  # tuples, as a Partition holds, whatever sequences came in
+        self._value = tuple(runs)
 
 
 def to_exponent_form(partition: Partition) -> ExponentForm:
     """The partition's runs as an :class:`ExponentForm`, in one step per run."""
-    return ExponentForm(partition._value)
+    return ExponentForm._holding(partition._value)
 
 
 def from_exponent_form(form: ExponentForm) -> Partition:
     """The flat partition of the form's runs, which are valid already and are not expanded."""
-    partition = object.__new__(Partition)
-    partition._value = form._value
-    return partition
+    return Partition._holding(form._value)
 
 
 def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
@@ -245,7 +243,7 @@ def random_partition(max_part: int, max_len: int, rng: random.Random) -> Exponen
         if k < m and value <= max_part:
             pairs.append((value, m - k))
         m = k
-    return ExponentForm(tuple(pairs))
+    return ExponentForm._holding(tuple(pairs))
 
 
 def format_partition(partition: Partition) -> str:

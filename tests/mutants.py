@@ -131,26 +131,12 @@ MUTANTS = [
         "        return tuple(parts)\n\n    @parts.setter\n    def parts(self, parts):\n        self._value = parts\n",
         PARTITION_TESTS,
     ),
-    # a Partition holds its runs, found as its parts are validated
+    # a Partition holds the runs of its parts, grouped and passed to the one check
     Mutant(
         "Partition: each run is one part longer",
         "partition.py",
-        "(parts[start], end - start)",
-        "(parts[start], end - start + 1)",
-        PARTITION_TESTS,
-    ),
-    Mutant(
-        "Partition: the last run ends one part early",
-        "partition.py",
-        "starts[1:] + [len(parts)]",
-        "starts[1:] + [len(parts) - 1]",
-        PARTITION_TESTS,
-    ),
-    Mutant(
-        "Partition: the previous part is never recorded, so every part starts a run",
-        "partition.py",
-        "                previous = part\n",
-        "",
+        "(value, len(list(run)))",
+        "(value, len(list(run)) + 1)",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -167,11 +153,12 @@ MUTANTS = [
         "sum(value for value, _ in self._value)",
         PARTITION_TESTS,
     ),
+    # the one unchecked holder, which every run the package builds passes through
     Mutant(
-        "from_exponent_form: the last run is dropped",
+        "_holding: shares every run but the last one",
         "partition.py",
-        "partition._value = form._value",
-        "partition._value = form._value[:-1]",
+        "record._value = runs",
+        "record._value = runs[:-1]",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -181,11 +168,33 @@ MUTANTS = [
         'pairs = property(attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
         PARTITION_TESTS,
     ),
+    # the one check of runs, which both constructors use
     Mutant(
-        "ExponentForm: holds the sequences it was given, lists included",
+        "ExponentForm: holds each run as a list",
         "partition.py",
-        "self._value = tuple(map(tuple, pairs))",
-        "self._value = pairs",
+        "runs.append((value, multiplicity))  # tuples",
+        "runs.append([value, multiplicity])  # tuples",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: a part below 1 passes",
+        "partition.py",
+        "            if value < 1:\n",
+        "            if False:\n",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: a run of the previous value is reported as an increase",
+        "partition.py",
+        "value > previous",
+        "value >= previous",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: the flat index counts runs, not parts",
+        "partition.py",
+        "index + multiplicity",
+        "index + 1",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -432,6 +441,21 @@ MUTANTS = [
         "            trace += (TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)),)\n"
         "        above = peel_block(a, m + 1, start, end, above)\n"
         "        blocks.append((m + 1, r))\n",
+        RECOVERY_TESTS,
+    ),
+    # the guards on each a_m, whose runs are no longer checked after the loop
+    Mutant(
+        "recover_delta: a zero a_m is peeled as a block of no parts",
+        "recovery.py",
+        "        if r == 0:\n            continue\n",
+        "",
+        RECOVERY_TESTS,
+    ),
+    Mutant(
+        "recover_delta: a negative a_m is peeled as a block",
+        "recovery.py",
+        "        if r < 0:\n",
+        "        if False:\n",
         RECOVERY_TESTS,
     ),
     Mutant(

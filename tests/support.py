@@ -19,7 +19,9 @@ from hilbert_lambda import (
     ExponentForm,
     NegativeLeadingMultiplicity,
     NonIntegerValued,
+    NonPositivePartError,
     NotHilbert,
+    NotNonIncreasingError,
     Outcome,
     Partition,
     Polynomial,
@@ -80,6 +82,17 @@ def all_partitions(max_part: int, max_len: int) -> Iterator[Partition]:
     for length in range(1, max_len + 1):
         for seq in non_incr_seqs(length, max_part):
             yield Partition(seq)
+
+
+def flat_scan_offender(parts: tuple[int, ...]) -> ValueError | None:
+    """Reference for ``Partition(parts)``'s check, one part at a time: the
+    error for the first part below 1 or above the part before it, or None."""
+    for index, part in enumerate(parts):
+        if part < 1:
+            return NonPositivePartError(f"part {part} at index {index} is not positive")
+        if index and part > parts[index - 1]:
+            return NotNonIncreasingError(index)
+    return None
 
 
 def falling_binom_coeffs(d: int) -> list[Fraction]:

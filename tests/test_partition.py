@@ -27,7 +27,13 @@ from hilbert_lambda.partition import (
     to_exponent_form,
 )
 from hilbert_lambda.polynomial import Polynomial, format_polynomial
-from support import assert_record_contract, falling_binom_coeffs, needs_digit_limit, past_digit_limit
+from support import (
+    assert_record_contract,
+    falling_binom_coeffs,
+    flat_scan_offender,
+    needs_digit_limit,
+    past_digit_limit,
+)
 
 partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
@@ -67,6 +73,31 @@ def test_partition_rejects_increasing_parts():
     assert info.value.index == 2
 
 
+def test_partition_names_the_first_offender_as_a_flat_scan_does():
+    # mostly non-increasing sequences, with a few parts overwritten by zeros,
+    # negatives and larger values, so offenders fall inside runs and after them
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        parts = sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 10))), reverse=True)
+        for _ in range(rng.randint(0, 2) if parts else 0):
+            parts[rng.randrange(len(parts))] = rng.randint(-2, 8)
+        parts = tuple(parts)
+        expected = flat_scan_offender(parts)
+        if expected is None:
+            assert Partition(parts).parts == parts
+            continue
+        with pytest.raises(ValueError) as info:
+            Partition(parts)
+        assert type(info.value) is type(expected), parts
+        assert str(info.value) == str(expected), parts
+        assert getattr(info.value, "index", None) == getattr(expected, "index", None), parts
+
+
+def test_partition_records_are_false_only_when_empty():
+    assert (bool(Partition()), bool(Partition((2, 1)))) == (False, True)
+    assert (bool(ExponentForm()), bool(ExponentForm(((2, 1),)))) == (False, True)
+
+
 @pytest.mark.parametrize(
     "record, fields, text, other",
     [
@@ -104,6 +135,12 @@ def test_exponent_form_round_trip_examples():
     # runs given as lists are held as tuples, as a Partition holds them
     listed = ExponentForm([[6, 2], [5, 1], [4, 1], [1, 3]])
     assert (listed, hash(listed), from_exponent_form(listed)) == (form, hash(form), lam)
+
+
+def test_exponent_form_keeps_runs_that_can_be_read_once():
+    pairs = ((3, 2), (1, 1))
+    assert ExponentForm((value, multiplicity) for value, multiplicity in pairs).pairs == pairs
+    assert ExponentForm(iter(pairs)).pairs == pairs
 
 
 def test_exponent_form_validation():
@@ -342,6 +379,15 @@ def test_random_partition_is_seed_deterministic():
     rng_a, rng_b = random.Random(9), random.Random(9)
     for _ in range(50):
         assert random_partition(5, 4, rng_a) == random_partition(5, 4, rng_b)
+
+
+def test_random_partition_draws_valid_runs():
+    # the draw is held unchecked, so the check must find nothing to reject
+    rng = random.Random(24)
+    for max_part, max_len in [(1, 1), (2, 5), (6, 6), (9, 3), (40, 10**6), (3, 10**40)]:
+        for _ in range(200):
+            form = random_partition(max_part, max_len, rng)
+            assert ExponentForm(form.pairs) == form, (max_part, max_len, form)
 
 
 def test_random_partition_respects_bounds():
