@@ -18,9 +18,10 @@ them again only when ``parts`` is read.  Build, evaluation and the
 conversions between the two records read the runs, so none of them costs
 more than one step per run.  Multiplicities can be astronomically large,
 so partition text is parsed, and a random partition drawn, straight into
-an :class:`ExponentForm`, never expanded.  Runs from outside the package
-pass the :class:`ExponentForm` check, which names an offender by its flat
-index; runs the package builds valid itself are held unchecked.
+an :class:`ExponentForm`, never expanded.  Both records pass their runs
+through one check, the :class:`ExponentForm` constructor's, which names an
+offender by its flat index; only :func:`from_exponent_form` shares runs
+that a form has checked already.
 """
 
 from __future__ import annotations
@@ -91,13 +92,6 @@ class _Frozen:
     def __reduce__(self) -> tuple:
         return type(self), (getattr(self, self._field),)  # unpickling validates, at every protocol
 
-    @classmethod
-    def _holding(cls, runs: tuple[tuple[int, int], ...]):
-        """A record holding ``runs``, which the package built valid itself: they are not checked."""
-        record = object.__new__(cls)
-        record._value = runs
-        return record
-
 
 class Partition(_Frozen):
     """Non-increasing tuple of positive integers; may be empty.  Held as its runs."""
@@ -151,12 +145,14 @@ class ExponentForm(_Frozen):
 
 def to_exponent_form(partition: Partition) -> ExponentForm:
     """The partition's runs as an :class:`ExponentForm`, in one step per run."""
-    return ExponentForm._holding(partition._value)
+    return ExponentForm(partition._value)
 
 
 def from_exponent_form(form: ExponentForm) -> Partition:
     """The flat partition of the form's runs, which are valid already and are not expanded."""
-    return Partition._holding(form._value)
+    partition = object.__new__(Partition)
+    partition._value = form._value
+    return partition
 
 
 def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
@@ -243,7 +239,7 @@ def random_partition(max_part: int, max_len: int, rng: random.Random) -> Exponen
         if k < m and value <= max_part:
             pairs.append((value, m - k))
         m = k
-    return ExponentForm._holding(tuple(pairs))
+    return ExponentForm(tuple(pairs))
 
 
 def format_partition(partition: Partition) -> str:

@@ -168,7 +168,7 @@ def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
         if want_trace:
             trace += (TraceStep(m=m, r=r, s=start, e=end, residual=tuple(a)),)
         start = end + 1
-    return Success(ExponentForm._holding(tuple(blocks)), trace=trace)
+    return Success(ExponentForm(tuple(blocks)), trace=trace)
 
 
 def recover_naive(p: Polynomial, r_max: int) -> Outcome:

@@ -153,12 +153,11 @@ MUTANTS = [
         "sum(value for value, _ in self._value)",
         PARTITION_TESTS,
     ),
-    # the one unchecked holder, which every run the package builds passes through
     Mutant(
-        "_holding: shares every run but the last one",
+        "from_exponent_form: the last run is dropped",
         "partition.py",
-        "record._value = runs",
-        "record._value = runs[:-1]",
+        "partition._value = form._value",
+        "partition._value = form._value[:-1]",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -443,7 +442,7 @@ MUTANTS = [
         "        blocks.append((m + 1, r))\n",
         RECOVERY_TESTS,
     ),
-    # the guards on each a_m, whose runs are no longer checked after the loop
+    # the guards on each a_m
     Mutant(
         "recover_delta: a zero a_m is peeled as a block of no parts",
         "recovery.py",

@@ -319,24 +319,6 @@ def test_recover_delta_matches_window_engine_with_trace():
         assert recover_delta(p, want_trace=True) == window_recover(p), format_polynomial(p)
 
 
-def _high_degree_shapes() -> list[Partition]:
-    # the high-degree benchmark shapes without their seeded jitter: staircases of
-    # degree 20 to 80, and one to three values with 1, 2 and 3 parts, the others
-    # just below 3/4 and 1/2 of the largest
-    shapes = [Partition(tuple(range(d + 1, 0, -1))) for d in (20, 35, 50, 65, 80)]
-    for largest, distinct in ((27, 3), (41, 2), (54, 1), (68, 3), (81, 2), (98, 1)):
-        values = (largest, largest * 3 // 4 - 1, largest // 2 - 2)[:distinct]
-        shapes.append(Partition(tuple(v for v, mult in zip(values, (1, 2, 3)) for _ in range(mult))))
-    return shapes
-
-
-def test_recover_delta_answers_valid_runs(partitions_923):
-    # the answer's runs are held unchecked, so the check must find nothing to reject
-    for lam in partitions_923 + _high_degree_shapes():
-        form = recover_delta(build_hilbert(lam)).form
-        assert ExponentForm(form.pairs) == form == to_exponent_form(lam), lam
-
-
 def test_recover_delta_staircase_needs_every_round():
     # one block per degree exercises the maximum number of extraction rounds
     lam = Partition((5, 4, 3, 2, 1))
