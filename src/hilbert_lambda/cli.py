@@ -10,7 +10,8 @@ renderer; every subcommand declares its own options and builds its JSON
 objects whole.
 
 Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage, parse or other
-error.  Batch mode reports errors per line and exits with the worst code.
+error.  Batch mode reports errors per line and exits with the worst code;
+an argument's error goes up to ``main``, which reports every command's on stderr.
 The console script and ``python -m`` take the default SIGPIPE action, so a
 reader that closes the pipe early ends them quietly (shell status 141).
 """
@@ -24,7 +25,7 @@ import signal
 import sys
 from typing import Callable
 
-from .partition import build_hilbert, format_exponent_form, parse_partition, random_partition
+from .partition import ExponentForm, build_hilbert, format_exponent_form, parse_partition, random_partition
 from .polynomial import PolynomialSyntaxError, digit_limit_text, format_polynomial, parse_polynomial
 from .recovery import Outcome, Success, recover_delta
 
@@ -95,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except Exception as exc:  # exit 1 means "not Hilbert", which a crash must not claim
         print(f"error: {_error_text(exc)}", file=sys.stderr)
+        if isinstance(exc, PolynomialSyntaxError):  # only a polynomial argument raises one this far
+            print(f"  {args.polynomial}\n  {' ' * exc.position}^", file=sys.stderr)
         return 2
 
 
@@ -118,16 +121,15 @@ def run() -> None:
 FLAT_PARTS_LIMIT = 100_000
 
 
-def _lambda_keys(answer: Success) -> tuple[dict, dict]:
+def _lambda_keys(form: ExponentForm, warnings: tuple[str, ...] = ()) -> tuple[dict, dict]:
     """The keys every JSON λ has, ``lambda_flat`` and ``lambda_exp``, and a
     dict with the ``warnings`` key, or an empty one when there are none.
     ``lambda_flat`` is null past FLAT_PARTS_LIMIT parts, and a warning says so."""
-    pairs = answer.form.pairs
+    pairs = form.pairs
     total_parts = sum(mult for _, mult in pairs)
-    warnings = answer.warnings
     flat = None
     if total_parts <= FLAT_PARTS_LIMIT:
-        flat = list(answer.flat().parts)
+        flat = [value for value, mult in pairs for _ in range(mult)]
     else:
         warnings += (f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp",)
     lam = {"lambda_flat": flat, "lambda_exp": [[value, mult] for value, mult in pairs]}
@@ -138,9 +140,10 @@ def _decide(
     polynomial: str | None, render: Callable[[str, Outcome], None], *, want_trace: bool = False, as_json: bool = False
 ) -> int:
     """Decide ``polynomial``, or each non-blank stdin line when it is None, and
-    hand each outcome to ``render``; returns the worst exit code.
-    ``parse_polynomial`` and ``recover_delta`` are looked up as module
-    globals, which tests and the benchmark's tracer replace."""
+    hand each outcome to ``render``; returns the worst exit code.  An argument
+    is a batch of one whose error goes up to ``main``.  ``parse_polynomial``
+    and ``recover_delta`` are looked up as module globals, which tests and
+    the benchmark's tracer replace."""
     single = polynomial is not None
     texts = [polynomial] if single else (line for line in map(str.strip, sys.stdin) if line)
     worst = 0
@@ -148,15 +151,11 @@ def _decide(
         try:
             outcome = recover_delta(parse_polynomial(text), want_trace=want_trace)
             render(text, outcome)
-        except Exception as exc:  # a parse error or a crash costs this polynomial only
-            message = _error_text(exc)
+        except Exception as exc:  # a stdin line's error takes that line's place on stdout
             if single:
-                print(f"error: {message}", file=sys.stderr)
-                if isinstance(exc, PolynomialSyntaxError):
-                    print(f"  {text}", file=sys.stderr)
-                    print("  " + " " * exc.position + "^", file=sys.stderr)
-            else:  # a stdin line's error takes that line's place on stdout
-                print(json.dumps({"input": text, "error": message}) if as_json else f"error: {message}")
+                raise
+            message = _error_text(exc)
+            print(json.dumps({"input": text, "error": message}) if as_json else f"error: {message}")
             worst = 2
             continue
         if not isinstance(outcome, Success):
@@ -176,7 +175,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         # a step's first four fields, m, r, s and e: the residual is for text mode
         trace = {} if outcome.trace is None else {"trace": [dict(zip("mrse", step)) for step in outcome.trace]}
         if isinstance(outcome, Success):
-            lam, warnings = _lambda_keys(outcome)
+            lam, warnings = _lambda_keys(outcome.form, outcome.warnings)
             fit = {} if ambient is None else {"ambient": {"n": ambient, "ok": fits(outcome)}}
             payload = {"input": text, "hilbert": True, **lam, "reason": None, **warnings, **fit, **trace}
         else:
@@ -214,7 +213,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     form = parse_partition(args.partition)
     p = build_hilbert(form)
     if args.format == "json":
-        lam, warnings = _lambda_keys(Success(form))
+        lam, warnings = _lambda_keys(form)
         polynomial, coeffs = format_polynomial(p), [str(c) for c in p.coeffs]
         print(json.dumps({"input": args.partition, **lam, "polynomial": polynomial, "coeffs": coeffs, **warnings}))
     else:
@@ -226,7 +225,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
     form = random_partition(args.max_part, args.max_len, random.Random(args.seed))
     p = build_hilbert(form)
     if args.format == "json":
-        lam, warnings = _lambda_keys(Success(form))
+        lam, warnings = _lambda_keys(form)
         print(json.dumps({**lam, "polynomial": format_polynomial(p), **warnings}))
     else:
         print(f"λ = {format_exponent_form(form)}")

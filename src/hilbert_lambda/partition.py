@@ -46,10 +46,10 @@ __all__ = [
 
 import itertools
 import math
+import operator
 import random
 import re
 import sys
-from operator import attrgetter
 from typing import Iterator
 
 from .calculus import block_value, peel_block
@@ -124,12 +124,13 @@ class ExponentForm(_Frozen):
 
     __slots__ = ()
     _field = "pairs"
-    pairs = property(attrgetter("_value"))
+    pairs = property(operator.attrgetter("_value"))
 
     def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
         # the package's one check of runs; pairs is read once, so any iterable will do
         runs, previous, index = [], None, 0  # index: the flat index of the run's first part
         for value, multiplicity in pairs:
+            value, multiplicity = operator.index(value), operator.index(multiplicity)  # ints only, True as 1
             if value < 1:
                 raise NonPositivePartError(f"part {value} at index {index} is not positive")
             if multiplicity < 1:

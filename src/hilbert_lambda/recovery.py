@@ -42,16 +42,9 @@ __all__ = [
 from itertools import chain
 from typing import NamedTuple
 
-from .calculus import Sequence, block_value, is_integer_sequence, peel_block
+from .calculus import Sequence, binomial_seq_value, block_value, is_integer_sequence, peel_block
 from .calculus import reduce  # noqa: F401  kept as recovery.reduce, which perfbench/worker.py traces
-from .partition import (
-    ExponentForm,
-    Partition,
-    from_exponent_form,
-    hilbert_value_at,
-    non_incr_seqs,
-    to_exponent_form,
-)
+from .partition import ExponentForm, Partition, from_exponent_form, non_incr_seqs, to_exponent_form
 from .polynomial import Polynomial, newton_coeffs, sample_points
 
 
@@ -190,7 +183,8 @@ def recover_naive(p: Polynomial, r_max: int) -> Outcome:
     first = n + 1
     tails = chain([()], *(non_incr_seqs(length, first) for length in range(1, r_max)))
     for tail in tails:
-        candidate = Partition((first,) + tail)
-        if all(hilbert_value_at(candidate, x) == value for x, value in enumerate(window)):
-            return Success(to_exponent_form(candidate))
+        candidate = (first,) + tail  # part i adds C(x + a - i, a - 1); only the match becomes a record
+        terms = [(a - 1, a - i) for i, a in enumerate(candidate, 1)]
+        if all(sum(binomial_seq_value(d, x + shift) for d, shift in terms) == value for x, value in enumerate(window)):
+            return Success(to_exponent_form(Partition(candidate)))
     return NotHilbert(SearchExhausted(r_max))

@@ -163,8 +163,8 @@ MUTANTS = [
     Mutant(
         "ExponentForm: pairs can be assigned",
         "partition.py",
-        'pairs = property(attrgetter("_value"))',
-        'pairs = property(attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
+        'pairs = property(operator.attrgetter("_value"))',
+        'pairs = property(operator.attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
         PARTITION_TESTS,
     ),
     # the one check of runs, which both constructors use
@@ -173,6 +173,13 @@ MUTANTS = [
         "partition.py",
         "runs.append((value, multiplicity))  # tuples",
         "runs.append([value, multiplicity])  # tuples",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: a float, Fraction or string part or multiplicity passes",
+        "partition.py",
+        "value, multiplicity = operator.index(value), operator.index(multiplicity)",
+        "value, multiplicity = value, multiplicity",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -234,12 +241,41 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
+        "_lambda_keys: lambda_flat is one part short per run",
+        "cli.py",
+        "for _ in range(mult)]",
+        "for _ in range(mult - 1)]",
+        CLI_TESTS,
+    ),
+    Mutant(
         "recover --format json: warnings also go to stderr",
         "cli.py",
         "        print(json.dumps(payload))\n",
         "        print(json.dumps(payload))\n"
         "        for warning in outcome.warnings if isinstance(outcome, Success) else ():\n"
         "            print(f\"warning: {warning}\", file=sys.stderr)\n",
+        CLI_TESTS,
+    ),
+    # an argument's error goes up to main, a stdin line's takes that line's place
+    Mutant(
+        "main: a polynomial syntax error shows its text but no caret",
+        "cli.py",
+        """print(f"  {args.polynomial}\\n  {' ' * exc.position}^", file=sys.stderr)""",
+        """print(f"  {args.polynomial}", file=sys.stderr)""",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "_decide: an argument's error is printed as a batch line on stdout",
+        "cli.py",
+        "            if single:\n                raise\n",
+        "",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "_decide: a stdin line's error is raised, ending the batch",
+        "cli.py",
+        "            if single:\n",
+        "            if True:\n",
         CLI_TESTS,
     ),
     # what each subcommand prints, and how the entry point ends
@@ -483,6 +519,14 @@ MUTANTS = [
         "recovery.py",
         "return NotHilbert(NonIntegerValued(), trace)",
         "return NotHilbert(NonIntegerValued())",
+        RECOVERY_TESTS,
+    ),
+    # the reference engine's candidate sum
+    Mutant(
+        "recover_naive: each candidate term reads C(x + a - i + 1, a - 1)",
+        "recovery.py",
+        "(a - 1, a - i)",
+        "(a - 1, a - i + 1)",
         RECOVERY_TESTS,
     ),
     # the reference window

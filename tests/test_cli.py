@@ -53,6 +53,9 @@ def test_recover_parse_error_points_at_column(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["recover", ""])
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: expected a term at column 0", "  ", "  ^"]
+    # a zero denominator is a syntax error too, with its caret
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "1/0"])
+    assert (code, out, err) == (2, "", "error: denominator is zero at column 2\n  1/0\n    ^\n")
 
 
 def test_recover_json_success(monkeypatch, capsys):
@@ -259,6 +262,7 @@ def test_check_parse_error(monkeypatch, capsys):
     code, _, err = run_cli(monkeypatch, capsys, ["check", "x +"])
     assert code == 2
     assert "expected a term" in err
+    assert err == "error: expected a term at column 3\n  x +\n     ^\n"
 
 
 def test_check_batch_prints_verdicts(monkeypatch, capsys):
@@ -315,6 +319,8 @@ def test_build_rejects_invalid_partition(monkeypatch, capsys):
     code, _, err = run_cli(monkeypatch, capsys, ["build", "nope"])
     assert code == 2
     assert "error:" in err
+    # a partition's syntax error has no caret
+    assert err == "error: expected '(...)' or '[...]' partition text\n"
 
 
 def test_build_reads_runs_without_expanding(monkeypatch, capsys):

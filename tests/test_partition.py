@@ -153,6 +153,14 @@ def test_exponent_form_validation():
     with pytest.raises(NotNonIncreasingError) as info:
         ExponentForm(((2, 5), (1, 1), (3, 1)))
     assert info.value.index == 6
+    # parts and multiplicities are integers: a float, Fraction or string fails, True is held as 1
+    for pairs in (((3, 1.5),), ((2.5, 1),), ((Fraction(2), 1),), ((2, "1"),)):
+        with pytest.raises(TypeError):
+            ExponentForm(pairs)
+    with pytest.raises(TypeError):
+        Partition((2.0, 1))
+    held = ExponentForm(((2, True), (True, 1))).pairs
+    assert held == ((2, 1), (1, 1)) and {type(number) for run in held for number in run} == {int}
 
 
 @given(partitions)
