@@ -14,7 +14,6 @@ from hilbert_lambda import (
     Partition,
     Success,
     build_hilbert,
-    format_partition,
     format_polynomial,
     hilbert_value_at,
     parse_polynomial,
@@ -34,9 +33,9 @@ for lam in partitions:
     p = build_hilbert(lam)
     outcome = recover_delta(p)
     assert isinstance(outcome, Success)
-    recovered = outcome.flat()
-    print(f"{format_partition(lam):>16}  ->  p(x) = {format_polynomial(p)}")
-    print(f"{'':>16}  <-  recovered {format_partition(recovered)}")
+    recovered = outcome.form
+    print(f"{str(lam):>16}  ->  p(x) = {format_polynomial(p)}")
+    print(f"{'':>16}  <-  recovered {recovered}")
     assert recovered == lam
 
 # the degree of p is always (largest part - 1), and the leading
@@ -44,7 +43,7 @@ for lam in partitions:
 lam = Partition((4, 4, 4, 2))
 p = build_hilbert(lam)
 print()
-print(f"p for {format_partition(lam)} has degree {p.degree()} = 4 - 1")
+print(f"p for {lam} has degree {p.degree()} = 4 - 1")
 print(f"leading coefficient {p.coeffs[-1]} = 3 / 3!")
 
 # 9*x^5 comes back as six runs with about 5e87 parts in all; hilbert_value_at

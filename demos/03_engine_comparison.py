@@ -17,7 +17,6 @@ from hilbert_lambda import (
     Partition,
     Success,
     build_hilbert,
-    format_partition,
     recover_delta,
     recover_naive,
 )
@@ -46,7 +45,7 @@ for degree in range(1, 6):
     delta_s = mean_runtime(lambda: recover_delta(p))
     naive_s = mean_runtime(lambda: recover_naive(p, r_max))
     print(
-        f"{format_partition(lam):>22}  {delta_s * 1e3:>8.3f}ms  {naive_s * 1e3:>8.3f}ms"
+        f"{str(lam):>22}  {delta_s * 1e3:>8.3f}ms  {naive_s * 1e3:>8.3f}ms"
         f"  {naive_s / delta_s:>5.1f}x"
     )
 

@@ -125,14 +125,11 @@ def _lambda_keys(form: ExponentForm, warnings: tuple[str, ...] = ()) -> tuple[di
     """The keys every JSON λ has, ``lambda_flat`` and ``lambda_exp``, and a
     dict with the ``warnings`` key, or an empty one when there are none.
     ``lambda_flat`` is null past FLAT_PARTS_LIMIT parts, and a warning says so."""
-    pairs = form.pairs
-    total_parts = sum(mult for _, mult in pairs)
-    flat = None
-    if total_parts <= FLAT_PARTS_LIMIT:
-        flat = [value for value, mult in pairs for _ in range(mult)]
-    else:
+    total_parts = sum(mult for _, mult in form.pairs)  # not len(form), which overflows past sys.maxsize
+    flat = form.parts if total_parts <= FLAT_PARTS_LIMIT else None
+    if flat is None:
         warnings += (f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp",)
-    lam = {"lambda_flat": flat, "lambda_exp": [[value, mult] for value, mult in pairs]}
+    lam = {"lambda_flat": flat, "lambda_exp": [[value, mult] for value, mult in form.pairs]}
     return lam, {"warnings": list(warnings)} if warnings else {}
 
 

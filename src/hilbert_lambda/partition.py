@@ -12,16 +12,15 @@ C(x, k) and the in-place block peel
 (:func:`hilbert_lambda.calculus.peel_block`), each peel handed the one
 above it so that it can reuse that binomial chain.
 
-Both records hold the same value, the runs ((value, multiplicity), ...):
-a :class:`Partition` groups its flat parts into them once, and expands
-them again only when ``parts`` is read.  Build, evaluation and the
-conversions between the two records read the runs, so none of them costs
-more than one step per run.  Multiplicities can be astronomically large,
-so partition text is parsed, and a random partition drawn, straight into
-an :class:`ExponentForm`, never expanded.  Both records pass their runs
-through one check, the :class:`ExponentForm` constructor's, which names an
-offender by its flat index; only :func:`from_exponent_form` shares runs
-that a form has checked already.
+A partition is held in one record, :class:`ExponentForm`: its runs
+((value, multiplicity), ...).  Multiplicities can be astronomically
+large, so only ``parts`` expands them; build, evaluation, text, ``repr``,
+equality, pickles and copies read the runs, in one step per run.
+:func:`Partition` groups flat parts into a record, and partition text is
+parsed, and a random partition drawn, straight into runs.  Every record,
+unpickled and copied ones too, passes its runs through one check, the
+:class:`ExponentForm` constructor's, which names an offender by its flat
+index.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "build_hilbert",
     "count_non_incr_seqs",
     "format_exponent_form",
-    "format_partition",
     "from_exponent_form",
     "hilbert_value_at",
     "non_incr_seqs",
@@ -72,59 +70,18 @@ class PartitionSyntaxError(ValueError):
     """Malformed partition text."""
 
 
-class _Frozen:
-    """Runs in a private slot, shown and pickled as the property named ``_field``; compared by type and value."""
+class ExponentForm:
+    """A partition as its runs ((value, multiplicity), ...), values strictly decreasing; may be empty.
 
-    __slots__ = ("_value",)
+    Compared and hashed by its runs, and false only when empty.  ``repr``,
+    pickles and copies read the runs too, and unpickling or copying passes
+    them through the check again.  ``parts`` is the one expansion;
+    ``len()`` is the part count and raises ``OverflowError`` past
+    ``sys.maxsize`` parts.  A record is not iterable: read ``pairs`` or ``parts``.
+    """
 
-    def __eq__(self, other: object) -> bool:
-        return self._value == other._value if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __bool__(self) -> bool:
-        return bool(self._value)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (getattr(self, self._field),)  # unpickling validates, at every protocol
-
-
-class Partition(_Frozen):
-    """Non-increasing tuple of positive integers; may be empty.  Held as its runs."""
-
-    __slots__ = ()
-    _field = "parts"
-
-    def __init__(self, parts: tuple[int, ...] = ()) -> None:
-        self._value = ExponentForm((value, len(list(run))) for value, run in itertools.groupby(parts))._value
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        parts: list[int] = []
-        for value, multiplicity in self._value:
-            parts += [value] * multiplicity
-        return tuple(parts)
-
-    def __len__(self) -> int:
-        return sum(multiplicity for _, multiplicity in self._value)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __str__(self) -> str:
-        return format_partition(self)
-
-
-class ExponentForm(_Frozen):
-    """Run-length form ((value, multiplicity), ...) with values strictly decreasing."""
-
-    __slots__ = ()
-    _field = "pairs"
-    pairs = property(operator.attrgetter("_value"))
+    __slots__ = ("_pairs",)
+    pairs = property(operator.attrgetter("_pairs"))
 
     def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
         # the package's one check of runs; pairs is read once, so any iterable will do
@@ -139,37 +96,66 @@ class ExponentForm(_Frozen):
                 raise NotNonIncreasingError(index)
             if value == previous:
                 raise ValueError("values must be strictly decreasing")
-            runs.append((value, multiplicity))  # tuples, as a Partition holds, whatever sequences came in
+            runs.append((value, multiplicity))  # tuples, whatever sequences came in
             previous, index = value, index + multiplicity
-        self._value = tuple(runs)
+        self._pairs = tuple(runs)
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        parts: list[int] = []
+        for value, multiplicity in self._pairs:
+            parts += [value] * multiplicity
+        return tuple(parts)
+
+    def __len__(self) -> int:
+        return sum(multiplicity for _, multiplicity in self._pairs)
+
+    def __eq__(self, other: object) -> bool:
+        return self._pairs == other._pairs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._pairs)
+
+    def __bool__(self) -> bool:
+        return bool(self._pairs)  # not len(), which can overflow
+
+    def __repr__(self) -> str:
+        return f"ExponentForm(pairs={self._pairs!r})"
+
+    def __reduce__(self) -> tuple:
+        return ExponentForm, (self._pairs,)  # unpickling checks the runs, at every protocol
+
+    def __str__(self) -> str:
+        return format_exponent_form(self)
 
 
-def to_exponent_form(partition: Partition) -> ExponentForm:
-    """The partition's runs as an :class:`ExponentForm`, in one step per run."""
-    return ExponentForm(partition._value)
+def Partition(parts: tuple[int, ...] = ()) -> ExponentForm:
+    """The record of the non-increasing flat ``parts``, grouped into runs
+    once; the check names an offender by its index in ``parts``."""
+    return ExponentForm((value, len(list(run))) for value, run in itertools.groupby(parts))
 
 
-def from_exponent_form(form: ExponentForm) -> Partition:
-    """The flat partition of the form's runs, which are valid already and are not expanded."""
-    partition = object.__new__(Partition)
-    partition._value = form._value
+def to_exponent_form(partition: ExponentForm) -> ExponentForm:
+    """The record itself, which holds its runs already; ``from_exponent_form`` is the same."""
     return partition
 
 
-def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
+from_exponent_form = to_exponent_form
+
+
+def build_hilbert(partition: ExponentForm) -> Polynomial:
     """Expand sum over i of C(x + a_i - i, a_i - 1) into coefficient form.
 
     The i-th part a_i (1-based) contributes a term of degree a_i - 1, so a
     non-empty partition yields degree a_1 - 1 and the empty one zero.  Each
-    run of equal parts, read from either record, is peeled off zeros
-    in the basis C(x, k) in O(value) integer operations, whatever its size,
-    and the sum is negated once at the end.  Each peel is handed the one
-    above it and reuses that binomial chain where it can.  A run of one
-    part is a single binomial term and walks one chain only: a partition
-    into distinct consecutive parts, such as a staircase, builds by
-    subtractions alone after its first part.
+    run of equal parts is peeled off zeros in the basis C(x, k) in O(value)
+    integer operations, whatever its size, and the sum is negated once at
+    the end.  Each peel is handed the one above it and reuses that binomial
+    chain where it can.  A run of one part is a single binomial term and
+    walks one chain only: a partition into distinct consecutive parts, such
+    as a staircase, builds by subtractions alone after its first part.
     """
-    pairs = partition._value
+    pairs = partition._pairs
     a = [0] * (pairs[0][0] if pairs else 0)
     start, above = 1, None
     for value, multiplicity in pairs:
@@ -178,7 +164,7 @@ def build_hilbert(partition: Partition | ExponentForm) -> Polynomial:
     return from_newton([-b for b in a])
 
 
-def hilbert_value_at(partition: Partition | ExponentForm, x: int) -> int:
+def hilbert_value_at(partition: ExponentForm, x: int) -> int:
     """Value at integer ``x`` of the polynomial the partition generates.
 
     Sums :func:`hilbert_lambda.calculus.block_value` over the runs, read as
@@ -186,7 +172,7 @@ def hilbert_value_at(partition: Partition | ExponentForm, x: int) -> int:
     The result is an integer for every integer ``x``, including negatives.
     """
     total, start = 0, 1
-    for value, multiplicity in partition._value:
+    for value, multiplicity in partition._pairs:
         total += block_value(value, start, start + multiplicity - 1, x)
         start += multiplicity
     return total
@@ -243,13 +229,8 @@ def random_partition(max_part: int, max_len: int, rng: random.Random) -> Exponen
     return ExponentForm(tuple(pairs))
 
 
-def format_partition(partition: Partition) -> str:
-    """Canonical exponent text, e.g. "(6^2,5,4,1^3)"; the empty partition is "()"."""
-    return format_exponent_form(to_exponent_form(partition))
-
-
 def format_exponent_form(form: ExponentForm) -> str:
-    """Canonical text straight from run-length pairs."""
+    """Canonical exponent text, e.g. "(6^2,5,4,1^3)", read from the runs; the empty partition is "()"."""
     pieces = []
     for value, multiplicity in form.pairs:
         pieces.append(f"{value}^{multiplicity}" if multiplicity > 1 else str(value))

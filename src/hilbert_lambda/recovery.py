@@ -16,11 +16,10 @@ lexicographic order and compares values on enough sample points to pin
 the polynomial down.  Both return ``Success`` with the partition or
 ``NotHilbert`` with a structured reason.
 
-Success carries the partition in run-length form.  Innocent-looking
-inputs decide to polynomials of partitions with astronomically many
-parts (already 2*x^3 + 3 goes that way), so the flat tuple is never
-built inside the engines.  ``Success.flat()`` shares the runs with a
-:class:`Partition` in one step per run; reading its ``parts`` expands them.
+Success carries the partition as its runs, an :class:`ExponentForm`.
+Innocent-looking inputs decide to polynomials of partitions with
+astronomically many parts (already 2*x^3 + 3 goes that way), so nothing
+here expands them; only the record's ``parts`` does.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ from typing import NamedTuple
 
 from .calculus import Sequence, binomial_seq_value, block_value, is_integer_sequence, peel_block
 from .calculus import reduce  # noqa: F401  kept as recovery.reduce, which perfbench/worker.py traces
-from .partition import ExponentForm, Partition, from_exponent_form, non_incr_seqs, to_exponent_form
+from .partition import ExponentForm, Partition, non_incr_seqs
+from .partition import from_exponent_form  # noqa: F401  kept as recovery.from_exponent_form, which perfbench/worker.py traces
 from .polynomial import Polynomial, newton_coeffs, sample_points
 
 
@@ -94,12 +94,6 @@ class Success(NamedTuple):
     form: ExponentForm
     warnings: tuple[str, ...] = ()
     trace: tuple[TraceStep, ...] | None = None
-
-    def flat(self) -> Partition:
-        """The flat partition, holding the form's runs: reading its ``parts``, iterating it,
-        its ``repr`` or a pickle expands them, and ``len()`` raises ``OverflowError``
-        past ``sys.maxsize`` parts."""
-        return from_exponent_form(self.form)
 
 
 class NotHilbert(NamedTuple):
@@ -186,5 +180,5 @@ def recover_naive(p: Polynomial, r_max: int) -> Outcome:
         candidate = (first,) + tail  # part i adds C(x + a - i, a - 1); only the match becomes a record
         terms = [(a - 1, a - i) for i, a in enumerate(candidate, 1)]
         if all(sum(binomial_seq_value(d, x + shift) for d, shift in terms) == value for x, value in enumerate(window)):
-            return Success(to_exponent_form(Partition(candidate)))
+            return Success(Partition(candidate))
     return NotHilbert(SearchExhausted(r_max))

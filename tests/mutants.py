@@ -102,36 +102,85 @@ MUTANTS = [
         "if k < m:",
         PARTITION_TESTS,
     ),
-    # the immutable value records Partition and ExponentForm
+    # the one partition record, which reads its runs for everything but parts
     Mutant(
-        "_Frozen: equality without its type check",
+        "ExponentForm: equality without its type check",
         "partition.py",
-        "return self._value == other._value if type(other) is type(self) else NotImplemented",
-        "return self._value == other._value",
+        "return self._pairs == other._pairs if type(other) is type(self) else NotImplemented",
+        "return self._pairs == other._pairs",
         PARTITION_TESTS,
     ),
     Mutant(
-        "_Frozen: hash of a constant",
+        "ExponentForm: hash of a constant",
         "partition.py",
-        "return hash(self._value)",
+        "return hash(self._pairs)",
         "return 0",
         PARTITION_TESTS,
     ),
     Mutant(
-        "_Frozen: copies and pickles are rebuilt empty",
+        "ExponentForm: copies and pickles are rebuilt empty",
         "partition.py",
-        "return type(self), (getattr(self, self._field),)",
-        "return type(self), ()",
+        "return ExponentForm, (self._pairs,)",
+        "return ExponentForm, ()",
         PARTITION_TESTS,
     ),
     Mutant(
-        "Partition: parts can be assigned",
+        "ExponentForm: copies and pickles are rebuilt through the flat-parts constructor",
         "partition.py",
-        "        return tuple(parts)\n",
-        "        return tuple(parts)\n\n    @parts.setter\n    def parts(self, parts):\n        self._value = parts\n",
+        "return ExponentForm, (self._pairs,)",
+        "return Partition, (self.parts,)",
         PARTITION_TESTS,
     ),
-    # a Partition holds the runs of its parts, grouped and passed to the one check
+    Mutant(
+        "ExponentForm: repr shows the expanded parts",
+        "partition.py",
+        'return f"ExponentForm(pairs={self._pairs!r})"',
+        'return f"ExponentForm(parts={self.parts!r})"',
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: len counts runs, not parts",
+        "partition.py",
+        "return sum(multiplicity for _, multiplicity in self._pairs)",
+        "return len(self._pairs)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: len sums the values, not the multiplicities",
+        "partition.py",
+        "sum(multiplicity for _, multiplicity in self._pairs)",
+        "sum(value for value, _ in self._pairs)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: no truth value of its own, so bool() takes len() and overflows",
+        "partition.py",
+        "    def __bool__(self) -> bool:\n        return bool(self._pairs)  # not len(), which can overflow\n\n",
+        "",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: iterable over its expanded parts",
+        "partition.py",
+        "    def __str__(self) -> str:\n",
+        "    def __iter__(self):\n        return iter(self.parts)\n\n    def __str__(self) -> str:\n",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: parts can be assigned",
+        "partition.py",
+        "        return tuple(parts)\n",
+        "        return tuple(parts)\n\n    @parts.setter\n    def parts(self, parts):\n        self._pairs = parts\n",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: parts expands each run to one part",
+        "partition.py",
+        "parts += [value] * multiplicity",
+        "parts += [value]",
+        PARTITION_TESTS,
+    ),
+    # Partition groups flat parts into runs and passes them to the one check
     Mutant(
         "Partition: each run is one part longer",
         "partition.py",
@@ -140,31 +189,10 @@ MUTANTS = [
         PARTITION_TESTS,
     ),
     Mutant(
-        "Partition: parts expands each run to one part",
-        "partition.py",
-        "parts += [value] * multiplicity",
-        "parts += [value]",
-        PARTITION_TESTS,
-    ),
-    Mutant(
-        "Partition: len sums the values, not the multiplicities",
-        "partition.py",
-        "sum(multiplicity for _, multiplicity in self._value)",
-        "sum(value for value, _ in self._value)",
-        PARTITION_TESTS,
-    ),
-    Mutant(
-        "from_exponent_form: the last run is dropped",
-        "partition.py",
-        "partition._value = form._value",
-        "partition._value = form._value[:-1]",
-        PARTITION_TESTS,
-    ),
-    Mutant(
         "ExponentForm: pairs can be assigned",
         "partition.py",
-        'pairs = property(operator.attrgetter("_value"))',
-        'pairs = property(operator.attrgetter("_value"), lambda self, value: setattr(self, "_value", value))',
+        'pairs = property(operator.attrgetter("_pairs"))',
+        'pairs = property(operator.attrgetter("_pairs"), lambda self, value: setattr(self, "_pairs", value))',
         PARTITION_TESTS,
     ),
     # the one check of runs, which both constructors use
@@ -241,10 +269,10 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
-        "_lambda_keys: lambda_flat is one part short per run",
+        "_lambda_keys: lambda_flat holds the runs, not the parts",
         "cli.py",
-        "for _ in range(mult)]",
-        "for _ in range(mult - 1)]",
+        "flat = form.parts if",
+        "flat = form.pairs if",
         CLI_TESTS,
     ),
     Mutant(
@@ -669,6 +697,21 @@ MUTANTS = [
         "recovery.py",
         '    "recover_naive",\n',
         "",
+        ("tests/test_package.py",),
+    ),
+    # names that only the benchmark's tracer looks up in recovery
+    Mutant(
+        "recovery: reduce is not imported",
+        "recovery.py",
+        "from .calculus import reduce  # noqa",
+        "# noqa",
+        ("tests/test_package.py",),
+    ),
+    Mutant(
+        "recovery: from_exponent_form is not imported",
+        "recovery.py",
+        "from .partition import from_exponent_form  # noqa",
+        "# noqa",
         ("tests/test_package.py",),
     ),
     Mutant(

@@ -77,7 +77,7 @@ def assert_record_contract(record, fields: dict, text: str, other=None) -> None:
         assert type(twin) is kind and twin == record and hash(twin) == hash(record) and repr(twin) == text
 
 
-def all_partitions(max_part: int, max_len: int) -> Iterator[Partition]:
+def all_partitions(max_part: int, max_len: int) -> Iterator[ExponentForm]:
     """Every partition with largest part <= max_part and length <= max_len."""
     for length in range(1, max_len + 1):
         for seq in non_incr_seqs(length, max_part):

@@ -17,7 +17,6 @@ from hilbert_lambda.partition import (
     ExponentForm,
     build_hilbert,
     format_exponent_form,
-    format_partition,
     random_partition,
 )
 from hilbert_lambda.polynomial import format_polynomial
@@ -579,7 +578,7 @@ def test_cli_round_trip_through_text(monkeypatch, capsys, partitions_251):
         poly_text = format_polynomial(build_hilbert(lam))
         code, out, _ = run_cli(monkeypatch, capsys, ["recover", poly_text])
         assert code == 0
-        assert out == f"λ = {format_partition(lam)}\n"
+        assert out == f"λ = {lam}\n"
 
 
 def test_module_entry_point_subprocess():

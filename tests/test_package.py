@@ -3,12 +3,14 @@ from __future__ import annotations
 import ast
 import importlib
 import pydoc
+import sys
 from pathlib import Path
 
 import pytest
 
 import hilbert_lambda
 
+ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("calculus", "partition", "polynomial", "recovery")
 
 PUBLIC = {
@@ -35,7 +37,6 @@ PUBLIC = {
     "count_non_incr_seqs",
     "delta",
     "format_exponent_form",
-    "format_partition",
     "format_polynomial",
     "from_exponent_form",
     "hilbert_value_at",
@@ -65,7 +66,7 @@ def _defined(module) -> set[str]:
 
 
 def test_package_lists_each_public_name_once():
-    assert len(hilbert_lambda.__all__) == len(PUBLIC) == 38
+    assert len(hilbert_lambda.__all__) == len(PUBLIC) == 37
     assert set(hilbert_lambda.__all__) == PUBLIC
 
 
@@ -88,3 +89,32 @@ def test_pydoc_documents_the_engines():
     text = pydoc.render_doc(hilbert_lambda, renderer=pydoc.plaintext)
     assert "recover_delta(" in text
     assert "build_hilbert(" in text
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # each print line's "# ..." comment is what it prints; a trailing "(...)" stands for any text
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 4
+    for line, comment in zip(printed, comments):
+        assert line.startswith(comment[:-5]) if comment.endswith("(...)") else line == comment, (line, comment)
+
+
+def test_benchmark_tracer_wraps_and_restores_package_names(monkeypatch):
+    # perfbench/worker.py wraps module attributes by name, so a name it wraps
+    # must stay in the package; its modules are imported for this test only
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("worker", "calibrate"):
+        monkeypatch.setitem(sys.modules, name, None)  # records the name as absent, for teardown
+        del sys.modules[name]
+    tracer = importlib.import_module("worker").Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer.saved)
+        assert wrapped and all(getattr(module, attr) is not original for module, attr, original in wrapped)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is original for module, attr, original in wrapped)

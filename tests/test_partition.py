@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ from hilbert_lambda.partition import (
     PartitionSyntaxError,
     build_hilbert,
     count_non_incr_seqs,
-    format_partition,
+    format_exponent_form,
     from_exponent_form,
     hilbert_value_at,
     non_incr_seqs,
@@ -26,7 +29,8 @@ from hilbert_lambda.partition import (
     random_partition,
     to_exponent_form,
 )
-from hilbert_lambda.polynomial import Polynomial, format_polynomial
+from hilbert_lambda.polynomial import Polynomial, format_polynomial, parse_polynomial
+from hilbert_lambda.recovery import recover_delta
 from support import (
     assert_record_contract,
     falling_binom_coeffs,
@@ -41,12 +45,23 @@ partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
 
 
 def test_partition_accepts_valid_parts():
+    # the flat constructor builds the one record, holding the runs of the parts
+    assert type(Partition((3, 3, 1))) is ExponentForm
+    assert Partition((3, 3, 1)) == ExponentForm(((3, 2), (1, 1)))
     assert Partition((3, 3, 1)).parts == (3, 3, 1)
     assert Partition(()).parts == ()
-    assert len(Partition((2, 1))) == 2
-    assert list(Partition((2, 1))) == [2, 1]
+    assert (len(Partition((3, 3, 1))), len(Partition())) == (3, 0)
     assert not Partition(())
     assert Partition((1,))
+
+
+def test_partition_record_expands_only_through_parts():
+    lam = Partition((2, 2, 1))
+    with pytest.raises(TypeError):  # not iterable: read pairs or parts
+        iter(lam)
+    with pytest.raises(AttributeError):
+        lam.parts = (1,)
+    assert lam.parts == (2, 2, 1)
 
 
 def test_partition_rejects_nonpositive_parts():
@@ -101,8 +116,13 @@ def test_partition_records_are_false_only_when_empty():
 @pytest.mark.parametrize(
     "record, fields, text, other",
     [
-        (Partition((3, 1)), {"parts": (3, 1)}, "Partition(parts=(3, 1))", Partition((3,))),
-        (Partition(), {"parts": ()}, "Partition(parts=())", Partition((1,))),
+        (Partition((3, 1)), {"pairs": ((3, 1), (1, 1))}, "ExponentForm(pairs=((3, 1), (1, 1)))", Partition((3,))),
+        (
+            ExponentForm(((3, 10**30), (1, 2))),
+            {"pairs": ((3, 10**30), (1, 2))},
+            f"ExponentForm(pairs=((3, {10**30}), (1, 2)))",
+            ExponentForm(((3, 10**30), (1, 1))),
+        ),
         (
             ExponentForm(((2, 3), (1, 1))),
             {"pairs": ((2, 3), (1, 1))},
@@ -117,13 +137,33 @@ def test_partition_records(record, fields, text, other):
 
 
 def test_partition_records_compare_by_type():
-    # neither is a tuple, nor equal to the other type holding the same value
-    assert Partition() != ExponentForm() and Partition() != () and ExponentForm() != ()
-    assert Partition((1,)) != (1,) and ExponentForm(((1, 1),)) != ((1, 1),)
-    assert len({Partition(), ExponentForm(), ()}) == 3
-    # copies and pickles are rebuilt through the validating constructor
-    assert Partition((2, 1)).__reduce__() == (Partition, ((2, 1),))
+    # a record built from parts is the record of its runs; neither is a tuple
+    assert Partition() == ExponentForm() and Partition((2, 2, 1)) == ExponentForm(((2, 2), (1, 1)))
+    assert ExponentForm() != () and Partition((1,)) != (1,) and ExponentForm(((1, 1),)) != ((1, 1),)
+    assert len({Partition(), ExponentForm(), ()}) == 2
+    # copies and pickles are rebuilt from the runs through the validating constructor
+    assert Partition((2, 1)).__reduce__() == (ExponentForm, (((2, 1), (1, 1)),))
     assert ExponentForm(((2, 1),)).__reduce__() == (ExponentForm, (((2, 1),),))
+
+
+def test_astronomical_record_reprs_pickles_and_copies_from_its_runs():
+    # x^5's answer has 6 runs and about 7e56 parts
+    form = recover_delta(parse_polynomial("x^5")).form
+    twins = {
+        "repr": lambda: eval(repr(form), {"ExponentForm": ExponentForm}),
+        "copy": lambda: copy.copy(form),
+        "deepcopy": lambda: copy.deepcopy(form),
+    }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twins[f"pickle {protocol}"] = lambda protocol=protocol: pickle.loads(pickle.dumps(form, protocol))
+    for name, make in twins.items():
+        began = time.perf_counter()
+        twin = make()
+        assert time.perf_counter() - began < 1, name
+        assert (type(twin), twin == form, hash(twin) == hash(form)) == (ExponentForm, True, True), name
+    assert form and str(form).startswith("(6^120,5^6780,4^23513960,3^")
+    with pytest.raises(OverflowError):
+        len(form)
 
 
 def test_exponent_form_round_trip_examples():
@@ -132,7 +172,7 @@ def test_exponent_form_round_trip_examples():
     assert form.pairs == ((6, 2), (5, 1), (4, 1), (1, 3))
     assert from_exponent_form(form) == lam
     assert to_exponent_form(Partition(())).pairs == ()
-    # runs given as lists are held as tuples, as a Partition holds them
+    # runs given as lists are held as tuples, as runs grouped from parts are
     listed = ExponentForm([[6, 2], [5, 1], [4, 1], [1, 3]])
     assert (listed, hash(listed), from_exponent_form(listed)) == (form, hash(form), lam)
 
@@ -169,10 +209,12 @@ def test_exponent_form_round_trip(lam):
 
 
 def test_format_partition():
-    assert format_partition(Partition((6, 6, 5, 4, 1, 1, 1))) == "(6^2,5,4,1^3)"
-    assert format_partition(Partition((3,))) == "(3)"
-    assert format_partition(Partition(())) == "()"
-    assert str(Partition((2, 2, 2, 1))) == "(2^3,1)"
+    # str is the canonical exponent text, read from the runs
+    assert str(Partition((6, 6, 5, 4, 1, 1, 1))) == "(6^2,5,4,1^3)"
+    assert str(Partition((3,))) == "(3)"
+    assert str(Partition(())) == "()"
+    assert str(ExponentForm(((3, 10**30), (1, 2)))) == f"(3^{10**30},1^2)"
+    assert format_exponent_form(Partition((2, 2, 2, 1))) == "(2^3,1)"
 
 
 @pytest.mark.parametrize(
@@ -200,7 +242,7 @@ def test_parse_partition_keeps_runs_unexpanded():
 
 @given(partitions)
 def test_parse_format_round_trip(lam):
-    assert parse_partition(format_partition(lam)) == to_exponent_form(lam)
+    assert parse_partition(str(lam)) == to_exponent_form(lam)
 
 
 def test_parse_partition_rejects_bad_text():
@@ -272,7 +314,7 @@ def test_build_hilbert_degree_and_leading_sign():
         assert p.coeffs[-1] > 0
 
 
-def _term_by_term(lam: Partition) -> list[Fraction]:
+def _term_by_term(lam: ExponentForm) -> list[Fraction]:
     # C(x + s, d) from the coefficients c_k of C(x, d): c_k (x + s)^k expanded
     # by the binomial theorem, one term per part
     total: list[Fraction] = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hilbert_lambda.partition import (
     random_partition,
     to_exponent_form,
 )
-from hilbert_lambda.polynomial import Polynomial, format_polynomial, parse_polynomial, sample_points
+from hilbert_lambda.polynomial import Polynomial, format_polynomial, parse_polynomial
 from hilbert_lambda.recovery import (
     NegativeLeadingMultiplicity,
     NonIntegerValued,
@@ -42,7 +43,7 @@ partitions = st.lists(st.integers(min_value=1, max_value=8), max_size=8).map(
 
 
 def success_of(*parts: int) -> Success:
-    return Success(to_exponent_form(Partition(parts)))
+    return Success(Partition(parts))
 
 
 FORM = ExponentForm(((2, 3), (1, 1)))
@@ -175,13 +176,12 @@ def test_recover_delta_large_success_matches_window():
 
 @pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 16)] + [f"9*x^{n}" for n in range(5, 12)])
 def test_build_inverts_recover_at_astronomical_scale(text):
-    # up to ~5e87 parts (9*x^5) and 1.29 Mbit multiplicities (x^15): both
-    # records hold these answers as runs, and build reads the runs
+    # up to ~5e87 parts (9*x^5) and 1.29 Mbit multiplicities (x^15): the
+    # record holds these answers as runs, and build reads the runs
     p = parse_polynomial(text)
     outcome = recover_delta(p)
     assert isinstance(outcome, Success)
     assert build_hilbert(outcome.form) == p
-    assert build_hilbert(outcome.flat()) == p
 
 
 @pytest.mark.parametrize("c, k", [(1, k) for k in range(8, 14)] + [(9, k) for k in range(5, 12)])
@@ -203,6 +203,39 @@ def test_x14_answer_is_pinned():
     assert [v for v, _ in outcome.form.pairs] == list(range(15, 0, -1))
     last = outcome.form.pairs[-1][1]
     assert (last.bit_length(), last % (2**61 - 1)) == (579065, 315206720885538779)
+
+
+def nabla(p: Polynomial) -> Polynomial:
+    """p(x) - p(x - 1), each (x - 1)^k expanded exactly by the binomial theorem."""
+    coeffs = list(p.coeffs)
+    for k, c in enumerate(p.coeffs):
+        for i in range(k + 1):
+            coeffs[i] -= c * math.comb(k, i) * (-1) ** (k - i)
+    return Polynomial(coeffs)
+
+
+def assert_metamorphic_relations(p: Polynomial) -> None:
+    """For a Hilbert p: λ(∇p) is λ(p) with its 1s dropped and every other
+    part lowered by one, and λ(p + c) is λ(p) with c more 1s.  Neither
+    evaluates the answer, so both hold at astronomical scale."""
+    pairs = recover_delta(p).form.pairs
+    above = [(value, mult) for value, mult in pairs if value > 1]
+    ones = sum(mult for value, mult in pairs if value == 1)
+    assert recover_delta(nabla(p)).form == ExponentForm((value - 1, mult) for value, mult in above)
+    constant, *rest = p.coeffs
+    for c in (0, 1, 7):
+        shifted = recover_delta(Polynomial((constant + c, *rest)))
+        assert shifted.form == ExponentForm(above + ([(1, ones + c)] if ones + c else [])), c
+
+
+def test_metamorphic_relations_on_the_corpus(partitions_923):
+    for lam in partitions_923:
+        assert_metamorphic_relations(build_hilbert(lam))
+
+
+@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 15)] + [f"9*x^{n}" for n in range(5, 12)])
+def test_metamorphic_relations_at_astronomical_scale(text):
+    assert_metamorphic_relations(parse_polynomial(text))
 
 
 def test_subtract_block_validates_arguments():
@@ -232,7 +265,7 @@ def test_recover_delta_known_partitions(text, parts):
 def test_recover_delta_trace():
     outcome = recover_delta(parse_polynomial("3*x + 1"), want_trace=True)
     assert isinstance(outcome, Success)
-    assert outcome.flat() == Partition((2, 2, 2, 1))
+    assert outcome.form == Partition((2, 2, 2, 1))
     steps = [(step.m, step.r, step.s, step.e) for step in outcome.trace]
     assert steps == [(1, 3, 1, 3), (0, 1, 4, 4)]
     # a_0, a_1 of 1 + 3*C(x, 1) after each peel: the 2^3 block takes 3*C(x, 1), the 1 block the 1
@@ -251,8 +284,7 @@ def test_recover_delta_without_trace_flag_has_no_trace():
 def test_recover_delta_zero_polynomial():
     outcome = recover_delta(Polynomial([]))
     assert isinstance(outcome, Success)
-    assert outcome.form == ExponentForm(())
-    assert outcome.flat() == Partition(())
+    assert outcome.form == ExponentForm(()) == Partition(())
     assert outcome.warnings
 
 
@@ -388,7 +420,7 @@ def test_rejected_polynomials_are_integer_valued():
 
 def test_success_carries_exact_fraction_free_parts():
     outcome = recover_delta(parse_polynomial("x + 2"))
-    assert all(isinstance(part, int) for part in outcome.flat().parts)
+    assert all(isinstance(part, int) for part in outcome.form.parts)
     assert all(
         isinstance(value, int) and isinstance(mult, int)
         for value, mult in outcome.form.pairs
