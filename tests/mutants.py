@@ -469,6 +469,91 @@ MUTANTS = [
         "else ((u := chain[2] - bottom) * u + u) // 6",
         ("tests/test_calculus.py",),
     ),
+    # the GMP route: which blocks take it, and _gmp.mul's copies in and out
+    Mutant(
+        "peel_block: the crossover comparison is flipped",
+        "calculus.py",
+        "if bottom <= _PAST_CROSSOVER and",
+        "if bottom >= _PAST_CROSSOVER and",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: a chain argument of exactly 2**CROSSOVER in size stays with Python",
+        "calculus.py",
+        "if bottom <= _PAST_CROSSOVER and",
+        "if bottom < _PAST_CROSSOVER and",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: a block of value 1, which multiplies nothing, looks for GMP",
+        "calculus.py",
+        "_PAST_CROSSOVER and v > 1 and (below is None",
+        "_PAST_CROSSOVER and (below is None",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: a first block's small upper chain goes to GMP",
+        "calculus.py",
+        "_gmp.mul if top <= _PAST_CROSSOVER else",
+        "_gmp.mul if top >= _PAST_CROSSOVER else",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block through GMP: one part subtracts C(b, 1..v), not C(b, 0..v-1)",
+        "calculus.py",
+        "terms = [1, *chain[:-1]]",
+        "terms = chain",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block through GMP: Pascal's rule reads the shared chain one place on",
+        "calculus.py",
+        "upper.append(below[k] - upper[-1])",
+        "upper.append(below[k + 1] - upper[-1])",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_chain: the C(c, 4) square subtracts u",
+        "calculus.py",
+        "chain.append((mul(u := chain[1] - c, u) + u) // 6)",
+        "chain.append((mul(u := chain[1] - c, u) - u) // 6)",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.load: never returns the library",
+        "_gmp.py",
+        "    return gmp\n",
+        "    return None\n",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.mul: the product's sign is dropped",
+        "_gmp.py",
+        "return -n if negative else n",
+        "return n",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.mul: the export buffer is one byte longer than the product",
+        "_gmp.py",
+        "+ 63) // 64 * 8",
+        "+ 63) // 64 * 8 + 1",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.mul: a square multiplies by the operand it never set",
+        "_gmp.py",
+        "x, x if square else y)",
+        "x, y)",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.mul: products past the cap go to GMP, and those under it stay",
+        "_gmp.py",
+        "a.bit_length() + b.bit_length() > MAX_PRODUCT_BITS",
+        "a.bit_length() + b.bit_length() < MAX_PRODUCT_BITS",
+        ("tests/test_calculus.py",),
+    ),
     # numbers past the int-to-str digit limit
     Mutant(
         "_uint: a polynomial literal past the digit limit loses its column",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hilbert_lambda import _gmp
 from hilbert_lambda.calculus import (
     LengthTooShortError,
     Sequence,
@@ -19,7 +20,7 @@ from hilbert_lambda.calculus import (
     reduce,
 )
 from hilbert_lambda.partition import ExponentForm, build_hilbert
-from hilbert_lambda.polynomial import Polynomial, from_newton, sample_points
+from hilbert_lambda.polynomial import Polynomial, from_newton, parse_polynomial, sample_points
 from hilbert_lambda.recovery import Success, recover_delta
 from support import falling_factorial_binomial, two_chain_peel
 
@@ -257,7 +258,8 @@ def test_peel_block_chains_at_karatsuba_sizes():
     # starts and spans of 10**700 and 10**5000 (2 300 and 16 600 bits) take
     # the chains, whose C(c, 2) and C(c, 4) are squarings, past CPython's
     # Karatsuba cutoffs (about 2 100 bits for a product and 4 200 for a
-    # square); v = 1..8 covers chains that stop before either square.
+    # square), and the larger ones past the GMP crossover, where the library
+    # loads; v = 1..8 covers chains that stop before either square.
     # Gaps and first blocks multiply out both chains, adjacent values hand
     # the chain down, and one-part blocks walk one chain, with or without it
     rng = random.Random(14)
@@ -323,3 +325,132 @@ def test_build_and_recover_share_chains_only_between_adjacent_values():
         p = from_newton([-b for b in a])
         assert build_hilbert(form) == p, runs
         assert recover_delta(p) == Success(form), runs
+
+
+# products through the system's GMP: _gmp.mul, and the blocks peel_block
+# sends to it
+
+
+def _libgmp_opens() -> bool:
+    # opened here, not through _gmp.load, so a loader that gives up where the
+    # library opens fails test_gmp_loads_where_the_system_library_opens
+    try:
+        import ctypes
+
+        ctypes.CDLL(_gmp.SONAME)
+    except (ImportError, OSError):
+        return False
+    return True
+
+
+needs_gmp = pytest.mark.skipif(not _libgmp_opens(), reason=f"{_gmp.SONAME} does not load here")
+
+
+def _signed(rng: random.Random, bits: int) -> int:
+    # a random integer of exactly this many bits, bits >= 1, of either sign
+    return rng.choice((1, -1)) * ((1 << (bits - 1)) | rng.getrandbits(bits - 1))
+
+
+@needs_gmp
+def test_gmp_loads_where_the_system_library_opens():
+    assert _gmp.load() is not None
+    assert _gmp.load() is _gmp.load()  # opened once
+
+
+@needs_gmp
+def test_gmp_product_matches_python_product():
+    # zero, both signs, operands around the crossover, lopsided pairs and
+    # squares, and products past 1 Mbit
+    rng = random.Random(27)
+    cases = [(0, 0), (0, 5**900), (-(3**5000), 0), (1, -1), (-1, -1), (2**64 - 1, -(2**64))]
+    for bits in (1, 63, 64, 65, _gmp.CROSSOVER - 1, _gmp.CROSSOVER, _gmp.CROSSOVER + 1, 2**20 + 3):
+        for other in (bits, rng.randint(1, 64), 3 * bits + 1):
+            cases.append((_signed(rng, bits), _signed(rng, other)))
+    for a, b in cases:
+        product = a * b
+        assert _gmp.mul(a, b) == product and _gmp.mul(b, a) == product, (a.bit_length(), b.bit_length())
+        assert _gmp.mul(a, a) == a * a, a.bit_length()  # the same object: GMP squares
+
+
+def test_gmp_product_is_python_product_without_the_library(monkeypatch):
+    monkeypatch.setattr(_gmp, "load", lambda: None)
+    a, b = -(3**9000), 7**4000
+    assert _gmp.mul(a, b) == a * b and _gmp.mul(a, a) == a * a
+
+
+def test_gmp_leaves_products_past_the_cap_to_python(monkeypatch):
+    # GMP aborts the process where an allocation fails, so past the cap the
+    # product must never reach the library, here a table that has no function
+    monkeypatch.setattr(_gmp, "load", lambda: {})
+    monkeypatch.setattr(_gmp, "MAX_PRODUCT_BITS", 1000)
+    a, b = 3**400, -(5**300)  # 634 + 697 bits
+    assert _gmp.mul(a, b) == a * b
+    with pytest.raises(KeyError):
+        _gmp.mul(3**200, 5**200)  # 317 + 465 bits go to the library
+
+
+@pytest.fixture
+def gmp_calls(monkeypatch):
+    """What is asked of _gmp: "load" for each look for the library, and the
+    operand sizes of each product it is handed."""
+    calls = []
+    load, mul = _gmp.load, _gmp.mul
+
+    def spy_load():
+        calls.append("load")
+        return load()
+
+    def spy_mul(x: int, y: int) -> int:
+        calls.append((x.bit_length(), y.bit_length()))
+        return mul(x, y)
+
+    monkeypatch.setattr(_gmp, "load", spy_load)
+    monkeypatch.setattr(_gmp, "mul", spy_mul)
+    return calls
+
+
+def test_peel_block_sends_only_products_past_the_crossover_to_gmp(gmp_calls):
+    # a block goes to GMP only where a chain multiplies out, which a block of
+    # value 1 never does, nor one part with the chain from above, and only once
+    # its lower chain's argument v - end has more bits than the crossover; it
+    # peels the same either way.  Spans: one part, many parts, and a first
+    # block, whose upper chain's argument v is small
+    rng = random.Random(28)
+    library = _gmp.load()
+    crossover = _gmp.CROSSOVER
+    for v in range(1, 9):
+        # v - end at random of crossover - 1 to crossover + 300 bits, and at
+        # the edge 2**crossover, the least of crossover + 1 bits
+        sizes = (crossover - 1, crossover + 1, crossover + 300)
+        for magnitude in ((1 << crossover) - 1, 1 << crossover, *(abs(_signed(rng, bits)) for bits in sizes)):
+            bits, end = magnitude.bit_length(), v + magnitude
+            for start in (end, end - rng.randrange(1, 10**6), 1):
+                for with_above in (False, True):
+                    if with_above and start == 1:
+                        continue
+                    above = None
+                    if with_above:
+                        above = peel_block([0] * (v + 1), v + 1, start - rng.randint(1, 9), start - 1)
+                    a = [rng.randint(-(10**6), 10**6) for _ in range(v)]
+                    reference = list(a)
+                    gmp_calls.clear()
+                    assert peel_block(a, v, start, end, above) == (v, two_chain_peel(reference, v, start, end))
+                    assert a == reference, (v, bits, start == end, with_above)
+                    multiplies = v > 1 and not (start == end and with_above) and bits > crossover
+                    products = [call for call in gmp_calls if call != "load"]
+                    assert ("load" in gmp_calls) == multiplies, (v, bits, start == end, with_above)
+                    assert bool(products) == (multiplies and library is not None), (v, bits)
+                    assert all(min(operands) > crossover for operands in products), (v, bits, products)
+
+
+@needs_gmp
+@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 17)] + [f"9*x^{n}" for n in range(5, 12)])
+def test_gmp_route_changes_no_answer(text, monkeypatch):
+    # with the loader forced to find nothing, every block takes the loops
+    p = parse_polynomial(text)
+    outcome = recover_delta(p)
+    assert isinstance(outcome, Success)
+    built = build_hilbert(outcome.form)
+    monkeypatch.setattr(_gmp, "load", lambda: None)
+    assert recover_delta(p) == outcome
+    assert build_hilbert(outcome.form) == built

@@ -605,6 +605,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_package_import_loads_no_ctypes():
+    # ctypes costs a cold start about 2 ms; only a product past the GMP
+    # crossover imports it, with the library
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, hilbert_lambda, hilbert_lambda.cli; print('ctypes' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_entry_point_ends_quietly_when_its_reader_goes(tmp_path):
     # 3000 JSON lines overflow the pipe buffer, so the writer is still

@@ -174,9 +174,9 @@ def test_recover_delta_large_success_matches_window():
         assert hilbert_value_at(outcome.form, x) == p.evaluate(x)
 
 
-@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 16)] + [f"9*x^{n}" for n in range(5, 12)])
+@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 17)] + [f"9*x^{n}" for n in range(5, 12)])
 def test_build_inverts_recover_at_astronomical_scale(text):
-    # up to ~5e87 parts (9*x^5) and 1.29 Mbit multiplicities (x^15): the
+    # up to ~5e87 parts (9*x^5) and 2.83 Mbit multiplicities (x^16): the
     # record holds these answers as runs, and build reads the runs
     p = parse_polynomial(text)
     outcome = recover_delta(p)
@@ -233,7 +233,7 @@ def test_metamorphic_relations_on_the_corpus(partitions_923):
         assert_metamorphic_relations(build_hilbert(lam))
 
 
-@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 15)] + [f"9*x^{n}" for n in range(5, 12)])
+@pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 17)] + [f"9*x^{n}" for n in range(5, 12)])
 def test_metamorphic_relations_at_astronomical_scale(text):
     assert_metamorphic_relations(parse_polynomial(text))
 
