@@ -1,18 +1,21 @@
 """Products of large integers through the system's GMP library, by ``ctypes``.
 
-GMP (``libgmp.so.10``) multiplies large integers by Toom-Cook and FFT
-algorithms, where CPython stops at Karatsuba: it squares a 290 000-bit
-integer about ten times as fast, the copies in and out included.
-:func:`load` opens the library by soname on its first call, never at
-import (``ctypes.util.find_library`` would start a process), and returns
-None where it does not load; :func:`mul` then multiplies with ``*``.
-Products past :data:`MAX_PRODUCT_BITS` stay with Python too, as GMP aborts
-the process where an allocation fails instead of raising ``MemoryError``.
+GMP (``libgmp.so.10``) multiplies by Toom-Cook and FFT algorithms, where
+CPython stops at Karatsuba: it squares a 290 000-bit integer about ten times
+as fast, the copies in and out included.  :func:`mul` calls its ``mpn_mul``
+and ``mpn_sqr`` on arrays of 64-bit limbs, which on a little-endian machine
+are byte for byte what ``int.to_bytes(n, "little")`` writes, so Python holds
+every operand and product.  :func:`load` opens the library by soname on its
+first call, never at import (``ctypes.util.find_library`` would start a
+process); where it does not load, or has other limbs, :func:`mul` uses ``*``.
+Products past :data:`MAX_PRODUCT_BITS` stay with Python too: GMP aborts the
+process where its own Toom or FFT scratch space cannot be allocated.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 
 SONAME = "libgmp.so.10"
 
@@ -27,47 +30,29 @@ MAX_PRODUCT_BITS = 1 << 32
 
 @functools.cache
 def load():
-    """The library's typed functions, opened on the first call; None where
-    the library or one of its functions is missing."""
+    """``(mpn_mul, mpn_sqr, view)``, opened on the first call; None where the
+    library or a function is missing, or its limbs are not little-endian 64-bit."""
     try:
         import ctypes
 
         lib = ctypes.CDLL(SONAME)
-    except (ImportError, OSError):
+        limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
+        mpn_mul, mpn_sqr = lib.__gmpn_mul, lib.__gmpn_sqr
+    except (ImportError, OSError, ValueError, AttributeError):
         return None
-
-    class Mpz(ctypes.Structure):
-        # __mpz_struct of gmp.h: allocated limbs, signed used limbs, limbs
-        _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
-
-    mpz, size_t, c_int, byte = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int, ctypes.c_ubyte
-    signatures = {
-        "init": ([mpz], None),
-        "clear": ([mpz], None),
-        # (rop, count, order, size, endian, nails, op)
-        "import": ([mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p], None),
-        # (rop, countp, order, size, endian, nails, op) -> rop
-        "export": ([ctypes.POINTER(byte), ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz], ctypes.c_void_p),
-        "mul": ([mpz, mpz, mpz], None),
-        "sizeinbase": ([mpz, c_int], size_t),
-    }
-    # the export writes through a view of a bytearray's first byte, as an
-    # array type c_char * size would be a new class, with its cycles, per call
-    gmp = {"Mpz": Mpz, "byte": byte}
-    for name, (argtypes, restype) in signatures.items():
-        try:
-            function = getattr(lib, "__gmpz_" + name)
-        except AttributeError:
-            return None
-        function.argtypes, function.restype = argtypes, restype
-        gmp[name] = function
-    return gmp
+    if limb_bits != 64 or sys.byteorder != "little":
+        return None
+    # view(bytearray) is the product pointer: a c_char * size would be a new class per size
+    rp, sp, size = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_char_p, ctypes.c_long  # size: mp_size_t
+    mpn_mul.argtypes, mpn_mul.restype = [rp, sp, size, sp, size], None  # (rp, s1p, s1n, s2p, s2n)
+    mpn_sqr.argtypes, mpn_sqr.restype = [rp, sp, size], None  # (rp, s1p, n)
+    return mpn_mul, mpn_sqr, ctypes.c_ubyte.from_buffer
 
 
-def _set(gmp: dict, z, n: int) -> None:
-    """Copy the non-negative ``n`` into the initialised GMP integer ``z``."""
-    words = (n.bit_length() + 63) >> 6
-    gmp["import"](z, words, 1, 8, 1, 0, n.to_bytes(8 * words, "big"))
+def _limbs(n: int) -> tuple[bytes, int]:
+    """The non-negative ``n`` as little-endian 64-bit limbs, and their count."""
+    count = (n.bit_length() + 63) >> 6
+    return n.to_bytes(8 * count, "little"), count
 
 
 def mul(a: int, b: int) -> int:
@@ -75,23 +60,18 @@ def mul(a: int, b: int) -> int:
     the product fits :data:`MAX_PRODUCT_BITS`, else by Python; ``mul(a, a)``
     squares, as GMP squares faster than it multiplies."""
     gmp = load()
-    if gmp is None or a.bit_length() + b.bit_length() > MAX_PRODUCT_BITS:
-        return a * b
-    negative = (a < 0) != (b < 0)
-    square = a is b
-    x, y, product = gmp["Mpz"](), gmp["Mpz"](), gmp["Mpz"]()
-    for z in (x, y, product):
-        gmp["init"](z)
-    try:
-        _set(gmp, x, abs(a))
-        if not square:
-            _set(gmp, y, abs(b))
-        gmp["mul"](product, x, x if square else y)
-        size = (gmp["sizeinbase"](product, 2) + 63) // 64 * 8
-        out = bytearray(size)
-        gmp["export"](gmp["byte"].from_buffer(out), None, 1, 8, 1, 0, product)
-    finally:
-        for z in (x, y, product):
-            gmp["clear"](z)
-    n = int.from_bytes(out, "big")
-    return -n if negative else n
+    if gmp is None or not a or not b or a.bit_length() + b.bit_length() > MAX_PRODUCT_BITS:
+        return a * b  # zero too: an mpn size is at least 1
+    mpn_mul, mpn_sqr, view = gmp
+    x, n = _limbs(abs(a))
+    if a is b:
+        out = bytearray(16 * n)
+        mpn_sqr(view(out), x, n)
+    else:
+        y, m = _limbs(abs(b))
+        if n < m:  # mpn_mul takes the longer operand first
+            x, n, y, m = y, m, x, n
+        out = bytearray(8 * (n + m))
+        mpn_mul(view(out), x, n, y, m)
+    product = int.from_bytes(out, "little")
+    return product if (a < 0) == (b < 0) else -product

@@ -10,6 +10,8 @@ The mutant is written into a fresh temporary copy of ``src/``, and the test
 files listed with it run against that copy (``PYTHONPATH`` puts it first)
 under a timeout; a timeout counts as killed.  The unmutated copy must pass
 every listed test file first, and must be the package those tests import.
+Two mutants run at once where two CPUs are free, each worker in its own
+copy of ``src/``; the verdicts print in the order of the list.
 
 Equivalent mutants change the code without changing what it computes, so no
 test can kill them.  They are listed apart, with the reason: their snippets
@@ -21,11 +23,13 @@ Exit status 0 when every mutant is killed, 1 otherwise.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -522,29 +526,50 @@ MUTANTS = [
     Mutant(
         "_gmp.load: never returns the library",
         "_gmp.py",
-        "    return gmp\n",
+        "    return mpn_mul, mpn_sqr, ctypes.c_ubyte.from_buffer\n",
         "    return None\n",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.load: the limb guard is negated, refusing 64-bit little-endian limbs and taking any other",
+        "_gmp.py",
+        'if limb_bits != 64 or sys.byteorder != "little":',
+        'if not (limb_bits != 64 or sys.byteorder != "little"):',
         ("tests/test_calculus.py",),
     ),
     Mutant(
         "_gmp.mul: the product's sign is dropped",
         "_gmp.py",
-        "return -n if negative else n",
-        "return n",
+        "return product if (a < 0) == (b < 0) else -product",
+        "return product",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: the export buffer is one byte longer than the product",
+        "_gmp.mul: the operands are written big-endian",
         "_gmp.py",
-        "+ 63) // 64 * 8",
-        "+ 63) // 64 * 8 + 1",
+        'return n.to_bytes(8 * count, "little"), count',
+        'return n.to_bytes(8 * count, "big"), count',
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: a square multiplies by the operand it never set",
+        "_gmp.mul: the product is read big-endian",
         "_gmp.py",
-        "x, x if square else y)",
-        "x, y)",
+        'int.from_bytes(out, "little")',
+        'int.from_bytes(out, "big")',
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.mul: the limb count is rounded down",
+        "_gmp.py",
+        "count = (n.bit_length() + 63) >> 6",
+        "count = (n.bit_length() + 62) >> 6",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.mul: operands of one size are squared, not multiplied",
+        "_gmp.py",
+        "if a is b:",
+        "if a.bit_length() == b.bit_length():",
         ("tests/test_calculus.py",),
     ),
     Mutant(
@@ -867,6 +892,30 @@ def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
     return result.returncode == 0, time.perf_counter() - start
 
 
+def _workers() -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _verdict(mutant: Mutant, slots: queue.SimpleQueue) -> tuple[str, bool]:
+    """Run one mutant in a free worker's copy of ``src/``; returns its
+    verdict line and whether it fails the gate (stale or survived)."""
+    scratch = slots.get()
+    try:
+        src = _fresh_copy(scratch)
+        problem = _apply(src, mutant)
+        if problem:
+            return f"{'STALE':9} {mutant.name}: {problem}", True
+        passed, seconds = _pytest(src, mutant.tests)
+    finally:
+        slots.put(scratch)
+    verdict = "SURVIVED" if passed else "killed" if seconds < TIMEOUT_S else "timeout"
+    return f"{verdict:9} {mutant.name} ({seconds:.1f} s)", passed
+
+
 def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch_dir:
@@ -891,17 +940,14 @@ def main() -> int:
             problem = _apply(_fresh_copy(scratch), mutant)
             failures += problem is not None
             print(f"{'STALE' if problem else 'skipped':9} {mutant.name}: {problem or 'equivalent, ' + reason}")
-        for mutant in MUTANTS:
-            src = _fresh_copy(scratch)
-            problem = _apply(src, mutant)
-            if problem:
-                failures += 1
-                print(f"{'STALE':9} {mutant.name}: {problem}")
-                continue
-            passed, seconds = _pytest(src, mutant.tests)
-            failures += passed
-            verdict = "SURVIVED" if passed else "killed" if seconds < TIMEOUT_S else "timeout"
-            print(f"{verdict:9} {mutant.name} ({seconds:.1f} s)")
+        workers = _workers()
+        slots = queue.SimpleQueue()
+        for worker in range(workers):
+            slots.put(scratch / f"worker-{worker}")
+        with ThreadPoolExecutor(workers) as pool:
+            for line, failed in pool.map(lambda mutant: _verdict(mutant, slots), MUTANTS):
+                failures += failed
+                print(line, flush=True)
     print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {failures} failing")
     return 1 if failures else 0
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -378,15 +379,45 @@ def test_gmp_product_is_python_product_without_the_library(monkeypatch):
     assert _gmp.mul(a, b) == a * b and _gmp.mul(a, a) == a * a
 
 
+class _ReachedTheLibrary(Exception):
+    pass
+
+
+def _reached(*args):
+    raise _ReachedTheLibrary(args)
+
+
 def test_gmp_leaves_products_past_the_cap_to_python(monkeypatch):
     # GMP aborts the process where an allocation fails, so past the cap the
-    # product must never reach the library, here a table that has no function
-    monkeypatch.setattr(_gmp, "load", lambda: {})
+    # product must never reach the library, here a stand-in whose functions
+    # (mpn_mul, mpn_sqr and the view of the product buffer) all raise
+    monkeypatch.setattr(_gmp, "load", lambda: (_reached, _reached, _reached))
     monkeypatch.setattr(_gmp, "MAX_PRODUCT_BITS", 1000)
     a, b = 3**400, -(5**300)  # 634 + 697 bits
-    assert _gmp.mul(a, b) == a * b
-    with pytest.raises(KeyError):
-        _gmp.mul(3**200, 5**200)  # 317 + 465 bits go to the library
+    assert _gmp.mul(a, b) == a * b and _gmp.mul(b, b) == b * b
+    a, b = 3**200, 5**200  # 317 + 465 and 317 + 317 bits go to the library
+    for x, y in ((a, b), (a, a)):
+        with pytest.raises(_ReachedTheLibrary):
+            _gmp.mul(x, y)
+
+
+@needs_gmp
+@pytest.mark.parametrize("byteorder, limb_bits", [("big", 64), ("little", 32)])
+def test_gmp_is_refused_unless_its_limbs_are_little_endian_64_bit(byteorder, limb_bits, monkeypatch):
+    # mul reads and writes limbs as 8 little-endian bytes each, so any other
+    # limb is refused: Python multiplies instead
+    import ctypes
+
+    in_dll = ctypes.c_int.in_dll
+
+    def limb_size(library, name):
+        return ctypes.c_int(limb_bits) if name == "__gmp_bits_per_limb" else in_dll(library, name)
+
+    monkeypatch.setattr(sys, "byteorder", byteorder)
+    monkeypatch.setattr(ctypes.c_int, "in_dll", limb_size)
+    assert _gmp.load.__wrapped__() is None
+    monkeypatch.undo()
+    assert _gmp.load.__wrapped__() is not None  # the stand-ins alone refused it
 
 
 @pytest.fixture
