@@ -9,10 +9,11 @@ single binomial term whose coefficients are that chain alone, so it walks
 only that chain, and by subtractions alone when the chain above is reused.
 A chain multiplied out squares for C(c, 2) = (c*c - c) / 2 and 24 C(c, 4) =
 (c*c - 3c + 1)**2 - 1, as CPython squares faster than it multiplies.  Once
-its argument c has more bits than ``_gmp.CROSSOVER``, as in the blocks of
-the astronomical answers, the chain's products go through the system's
-GMP library where it loads (:mod:`hilbert_lambda._gmp`), and stay exact
-``int``s either way; the loops below the crossover are unchanged.
+the chain's largest product, about v times the bits of its argument c, has
+more bits than ``_gmp.CROSSOVER``, as in the blocks of the astronomical
+answers, the whole chain steps on the limbs of the system's GMP library
+where it loads (:mod:`hilbert_lambda._gmp`), and is read back as exact
+``int``s; the loops for smaller chains are unchanged.
 :func:`block_value` is that block's value at one integer x, for evaluation.
 :class:`Sequence` and :func:`delta` difference a finite window of samples
 f(0), ..., f(k-1) directly, and :func:`reduce` repeats :func:`delta` until
@@ -40,10 +41,11 @@ from . import _gmp
 
 Rational = Union[int, Fraction]
 
-# the largest chain argument with more bits than the GMP crossover: as chain
-# arguments are never positive past v, peel_block tells a block past it by one
-# comparison, which it makes for every block
-_PAST_CROSSOVER = -(1 << _gmp.CROSSOVER)
+# the largest chain argument c that GMP takes, as its calls cost more than they
+# save on the many short steps of a chain of small c and large v; since chain
+# arguments are never positive past v, peel_block tells a block of small
+# numbers by this one comparison, which it makes for every block
+_GMP_FLOOR = -(1 << 1024)
 
 
 class LengthTooShortError(ValueError):
@@ -148,13 +150,15 @@ def peel_block(a: list[int], v: int, start: int, end: int, above: tuple | None =
     C(c, 4) = (u*u + u) // 6 = ((c*c - 3c + 1)**2 - 1) // 24.
 
     A block of value 2 or more whose lower chain multiplies out, with
-    bottom past the GMP crossover, takes the same steps with GMP's products
-    instead (:func:`_peel_through_gmp`), if the library loads.
+    bottom at most ``_GMP_FLOOR`` and v * bits(bottom) past the GMP
+    crossover, takes the same steps on GMP's limbs instead
+    (:func:`_peel_through_gmp`), if the library loads.
     """
     below = above[1] if above is not None and above[0] == v + 1 else None
     top, bottom = v - start + 1, v - end
-    if bottom <= _PAST_CROSSOVER and v > 1 and (below is None or end != start) and _gmp.load():
-        return _peel_through_gmp(a, v, top, bottom, below, end == start)
+    if bottom <= _GMP_FLOOR and v * bottom.bit_length() > _gmp.CROSSOVER and v > 1:
+        if (below is None or end != start) and _gmp.load():
+            return _peel_through_gmp(a, v, top, bottom, below, end == start)
     chain, upper, lower = [bottom], top, bottom  # step k = 0: C(c, 1) = c
     a[v - 1] -= top - bottom
     if end == start:
@@ -185,31 +189,40 @@ def peel_block(a: list[int], v: int, start: int, end: int, above: tuple | None =
     return v, chain
 
 
-def _chain(c: int, v: int, mul) -> list[int]:
-    """C(c, 1..v), stepped as :func:`peel_block`'s loops step a chain, with
-    ``mul`` for each product."""
+def _chain(c: int, v: int) -> list[int]:
+    """C(c, 1..v), stepped as :func:`peel_block`'s loops step a chain."""
     chain = [c]
     for k in range(1, v):
         if k == 1:
-            chain.append((mul(c, c) - c) >> 1)
+            chain.append((c * c - c) >> 1)
         elif k == 3:
-            chain.append((mul(u := chain[1] - c, u) + u) // 6)
+            chain.append(((u := chain[1] - c) * u + u) // 6)
         else:
-            chain.append(mul(chain[-1], c - k) // (k + 1))
+            chain.append(chain[-1] * (c - k) // (k + 1))
     return chain
+
+
+def _big_chain(c: int, v: int) -> list[int]:
+    """C(c, 1..v) for c <= ``_GMP_FLOOR``: GMP's magnitudes
+    |C(c, k)| = C(-c + k - 1, k), each with its sign (-1)**k, or Python's
+    chain where GMP would pass its product cap."""
+    magnitudes = _gmp.chain(-c, v)
+    if magnitudes is None:
+        return _chain(c, v)
+    return [-m if k & 1 else m for k, m in enumerate(magnitudes, 1)]
 
 
 def _peel_through_gmp(a: list[int], v: int, top: int, bottom: int, below: list | None, one_part: bool) -> tuple:
     """:func:`peel_block` for a block whose lower chain multiplies out past
-    the crossover: that chain's products go through GMP, and so do the
-    upper chain's when it multiplies out past it too; the Pascal steps
+    the crossover: that chain goes through GMP, and so does the upper
+    chain when it multiplies out past the crossover too; the Pascal steps
     from ``below`` stay subtractions."""
-    chain = _chain(bottom, v, _gmp.mul)
+    chain = _big_chain(bottom, v)
     if one_part:  # the single term's coefficients C(bottom, 0..v-1)
         terms = [1, *chain[:-1]]
     elif below is None:
-        mul = _gmp.mul if top <= _PAST_CROSSOVER else operator.mul
-        terms = map(operator.sub, _chain(top, v, mul), chain)
+        past = top <= _GMP_FLOOR and v * top.bit_length() > _gmp.CROSSOVER
+        terms = map(operator.sub, _big_chain(top, v) if past else _chain(top, v), chain)
     else:
         upper = [top]
         for k in range(1, v):

@@ -75,7 +75,9 @@ class ExponentForm:
 
     Compared and hashed by its runs, and false only when empty.  ``repr``,
     pickles and copies read the runs too, and unpickling or copying passes
-    them through the check again.  ``parts`` is the one expansion;
+    them through the check again; ``repr`` and pickle protocols 0 and 1
+    write a number past CPython's int-to-str digit limit in hex, which has
+    no limit.  ``parts`` is the one expansion;
     ``len()`` is the part count and raises ``OverflowError`` past
     ``sys.maxsize`` parts.  A record is not iterable: read ``pairs`` or ``parts``.
     """
@@ -120,13 +122,35 @@ class ExponentForm:
         return bool(self._pairs)  # not len(), which can overflow
 
     def __repr__(self) -> str:
-        return f"ExponentForm(pairs={self._pairs!r})"
+        runs = [f"({_literal(value)}, {_literal(multiplicity)})" for value, multiplicity in self._pairs]
+        return f"ExponentForm(pairs=({', '.join(runs)}{',' * (len(runs) == 1)}))"
 
     def __reduce__(self) -> tuple:
         return ExponentForm, (self._pairs,)  # unpickling checks the runs, at every protocol
 
+    def __reduce_ex__(self, protocol: int) -> tuple:
+        # protocols 0 and 1 write an int as decimal text, which CPython refuses
+        # past its digit limit: they write the runs in hex, which has none
+        if protocol < 2:
+            return _from_hex, (tuple((hex(value), hex(multiplicity)) for value, multiplicity in self._pairs),)
+        return self.__reduce__()
+
     def __str__(self) -> str:
         return format_exponent_form(self)
+
+
+def _literal(n: int) -> str:
+    """``repr(n)``, or a hex literal, which ``eval`` reads back with no digit
+    limit, where ``n`` is past CPython's int-to-str digit limit."""
+    try:
+        return repr(n)
+    except ValueError:
+        return hex(n)
+
+
+def _from_hex(pairs: tuple[tuple[str, str], ...]) -> ExponentForm:
+    """The record of runs written in hex, checked as every record is."""
+    return ExponentForm((int(value, 16), int(multiplicity, 16)) for value, multiplicity in pairs)
 
 
 def Partition(parts: tuple[int, ...] = ()) -> ExponentForm:

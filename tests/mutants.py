@@ -138,8 +138,29 @@ MUTANTS = [
     Mutant(
         "ExponentForm: repr shows the expanded parts",
         "partition.py",
-        'return f"ExponentForm(pairs={self._pairs!r})"',
+        """return f"ExponentForm(pairs=({', '.join(runs)}{',' * (len(runs) == 1)}))\"""",
         'return f"ExponentForm(parts={self.parts!r})"',
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: repr writes one run without its trailing comma",
+        "partition.py",
+        "{',' * (len(runs) == 1)}",
+        "",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: repr writes a number past the digit limit in decimal",
+        "partition.py",
+        "        return hex(n)\n",
+        "        raise\n",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "ExponentForm: pickle protocol 1 writes the runs as decimal text",
+        "partition.py",
+        "if protocol < 2:",
+        "if protocol < 1:",
         PARTITION_TESTS,
     ),
     Mutant(
@@ -473,33 +494,48 @@ MUTANTS = [
         "else ((u := chain[2] - bottom) * u + u) // 6",
         ("tests/test_calculus.py",),
     ),
-    # the GMP route: which blocks take it, and _gmp.mul's copies in and out
+    # the GMP route: which blocks take it, the signs of its chains, and
+    # _gmp.chain's steps on the limbs
     Mutant(
-        "peel_block: the crossover comparison is flipped",
+        "peel_block: the first comparison of the GMP gate is reversed",
         "calculus.py",
-        "if bottom <= _PAST_CROSSOVER and",
-        "if bottom >= _PAST_CROSSOVER and",
+        "if bottom <= _GMP_FLOOR and",
+        "if bottom >= _GMP_FLOOR and",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: a chain argument of exactly 2**CROSSOVER in size stays with Python",
+        "peel_block: a chain argument of exactly _GMP_FLOOR stays with Python",
         "calculus.py",
-        "if bottom <= _PAST_CROSSOVER and",
-        "if bottom < _PAST_CROSSOVER and",
+        "if bottom <= _GMP_FLOOR and",
+        "if bottom < _GMP_FLOOR and",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: the GMP gate drops the factor v, comparing bits(bottom) with the crossover",
+        "calculus.py",
+        "and v * bottom.bit_length() > _gmp.CROSSOVER",
+        "and bottom.bit_length() > _gmp.CROSSOVER",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "peel_block: a largest product of exactly the crossover goes to GMP",
+        "calculus.py",
+        "and v * bottom.bit_length() > _gmp.CROSSOVER",
+        "and v * bottom.bit_length() >= _gmp.CROSSOVER",
         ("tests/test_calculus.py",),
     ),
     Mutant(
         "peel_block: a block of value 1, which multiplies nothing, looks for GMP",
         "calculus.py",
-        "_PAST_CROSSOVER and v > 1 and (below is None",
-        "_PAST_CROSSOVER and (below is None",
+        "_gmp.CROSSOVER and v > 1:",
+        "_gmp.CROSSOVER:",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: a first block's small upper chain goes to GMP",
+        "peel_block: an upper chain just above the floor goes to GMP",
         "calculus.py",
-        "_gmp.mul if top <= _PAST_CROSSOVER else",
-        "_gmp.mul if top >= _PAST_CROSSOVER else",
+        "past = top <= _GMP_FLOOR and",
+        "past = top >= _GMP_FLOOR and",
         ("tests/test_calculus.py",),
     ),
     Mutant(
@@ -517,16 +553,23 @@ MUTANTS = [
         ("tests/test_calculus.py",),
     ),
     Mutant(
+        "_big_chain: the sign parity is flipped",
+        "calculus.py",
+        "return [-m if k & 1 else m for k, m in enumerate(magnitudes, 1)]",
+        "return [m if k & 1 else -m for k, m in enumerate(magnitudes, 1)]",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
         "_chain: the C(c, 4) square subtracts u",
         "calculus.py",
-        "chain.append((mul(u := chain[1] - c, u) + u) // 6)",
-        "chain.append((mul(u := chain[1] - c, u) - u) // 6)",
+        "chain.append(((u := chain[1] - c) * u + u) // 6)",
+        "chain.append(((u := chain[1] - c) * u - u) // 6)",
         ("tests/test_calculus.py",),
     ),
     Mutant(
         "_gmp.load: never returns the library",
         "_gmp.py",
-        "    return mpn_mul, mpn_sqr, ctypes.c_ubyte.from_buffer\n",
+        "    return mpn_mul, mpn_sqr, mpn_add, mpn_divexact_1, ctypes.c_ubyte.from_buffer\n",
         "    return None\n",
         ("tests/test_calculus.py",),
     ),
@@ -538,45 +581,87 @@ MUTANTS = [
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: the product's sign is dropped",
+        "_gmp.load: a library without a function raises instead of being refused",
         "_gmp.py",
-        "return product if (a < 0) == (b < 0) else -product",
-        "return product",
+        "except (ImportError, OSError, ValueError, AttributeError):",
+        "except (ImportError, OSError, ValueError):",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: the operands are written big-endian",
+        "_gmp.chain: the operands are written big-endian",
         "_gmp.py",
         'return n.to_bytes(8 * count, "little"), count',
         'return n.to_bytes(8 * count, "big"), count',
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: the product is read big-endian",
+        "_gmp.chain: each magnitude is read big-endian",
         "_gmp.py",
         'int.from_bytes(out, "little")',
         'int.from_bytes(out, "big")',
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: the limb count is rounded down",
+        "_gmp.chain: an operand's limb count is rounded down",
         "_gmp.py",
         "count = (n.bit_length() + 63) >> 6",
         "count = (n.bit_length() + 62) >> 6",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: operands of one size are squared, not multiplied",
+        "_gmp.chain: a lopsided step divides by k + 2, not k + 1",
         "_gmp.py",
-        "if a is b:",
-        "if a.bit_length() == b.bit_length():",
+        "6 if k == 3 else k + 1)",
+        "6 if k == 3 else k + 2)",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_gmp.mul: products past the cap go to GMP, and those under it stay",
+        "_gmp.chain: the C(-d, 4) square divides by k + 1 = 4, not 6",
         "_gmp.py",
-        "a.bit_length() + b.bit_length() > MAX_PRODUCT_BITS",
-        "a.bit_length() + b.bit_length() < MAX_PRODUCT_BITS",
+        "6 if k == 3 else k + 1)",
+        "k + 1)",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.chain: the squares leave out their addend u",
+        "_gmp.py",
+        "            mpn_add(product, product, 2 * n, x, n)",
+        "            pass",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.chain: the C(-d, 4) square takes u from M_3, not M_2",
+        "_gmp.py",
+        "magnitudes[1] + d",
+        "magnitudes[-1] + d",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.chain: the trim of a top limb left empty is dropped",
+        "_gmp.py",
+        "operand, n = product, (magnitudes[-1].bit_length() + 63) >> 6",
+        "operand, n = product, len(out) >> 3",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.chain: a step is fed its operand with the step before's stale limb count",
+        "_gmp.py",
+        "operand, n = product, (magnitudes[-1].bit_length() + 63) >> 6",
+        "operand = product",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.chain: chains whose last product passes the cap go to GMP, and those under it stay",
+        "_gmp.py",
+        "v * (d + v).bit_length() > MAX_PRODUCT_BITS",
+        "v * (d + v).bit_length() < MAX_PRODUCT_BITS",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_gmp.chain: the cap reads the size of d, not of d + v",
+        "_gmp.py",
+        "v * (d + v).bit_length() > MAX_PRODUCT_BITS",
+        "v * d.bit_length() > MAX_PRODUCT_BITS",
         ("tests/test_calculus.py",),
     ),
     # numbers past the int-to-str digit limit

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from hilbert_lambda import _gmp
 from hilbert_lambda.calculus import (
+    _GMP_FLOOR,
     LengthTooShortError,
     Sequence,
+    _big_chain,
+    _chain,
     binomial_seq_value,
     delta,
     is_integer_sequence,
@@ -328,8 +331,8 @@ def test_build_and_recover_share_chains_only_between_adjacent_values():
         assert recover_delta(p) == Success(form), runs
 
 
-# products through the system's GMP: _gmp.mul, and the blocks peel_block
-# sends to it
+# binomial chains through the system's GMP: _gmp.chain, and the blocks
+# peel_block sends to it
 
 
 def _libgmp_opens() -> bool:
@@ -347,9 +350,19 @@ def _libgmp_opens() -> bool:
 needs_gmp = pytest.mark.skipif(not _libgmp_opens(), reason=f"{_gmp.SONAME} does not load here")
 
 
-def _signed(rng: random.Random, bits: int) -> int:
-    # a random integer of exactly this many bits, bits >= 1, of either sign
-    return rng.choice((1, -1)) * ((1 << (bits - 1)) | rng.getrandbits(bits - 1))
+def _of_bits(rng: random.Random, bits: int) -> int:
+    # a random positive integer of exactly this many bits, bits >= 1
+    return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+
+
+def _limb_count(n: int) -> int:
+    return (n.bit_length() + 63) // 64
+
+
+# d = 2**43 and 2**3371 make the product of step k = 2, M_2 (d + 2) =
+# d (d + 1) (d + 2) / 2, just reach 2**128 and 2**10112 and fill its buffer,
+# so the exact division by 3 empties the top limb
+EMPTYING = (1 << 43, 1 << 3371)
 
 
 @needs_gmp
@@ -359,24 +372,45 @@ def test_gmp_loads_where_the_system_library_opens():
 
 
 @needs_gmp
-def test_gmp_product_matches_python_product():
-    # zero, both signs, operands around the crossover, lopsided pairs and
-    # squares, and products past 1 Mbit
-    rng = random.Random(27)
-    cases = [(0, 0), (0, 5**900), (-(3**5000), 0), (1, -1), (-1, -1), (2**64 - 1, -(2**64))]
-    for bits in (1, 63, 64, 65, _gmp.CROSSOVER - 1, _gmp.CROSSOVER, _gmp.CROSSOVER + 1, 2**20 + 3):
-        for other in (bits, rng.randint(1, 64), 3 * bits + 1):
-            cases.append((_signed(rng, bits), _signed(rng, other)))
-    for a, b in cases:
-        product = a * b
-        assert _gmp.mul(a, b) == product and _gmp.mul(b, a) == product, (a.bit_length(), b.bit_length())
-        assert _gmp.mul(a, a) == a * a, a.bit_length()  # the same object: GMP squares
+def test_gmp_chain_matches_python_chain():
+    # |C(-d, k)| for d at the limb edges, at sizes around the crossover, with
+    # a step that empties its top limb, and with products past 1 Mbit
+    rng = random.Random(29)
+    crossover = _gmp.CROSSOVER
+    sizes = (crossover // 9, crossover // 2, crossover // 2 + 1, crossover, 120_000)
+    for d in (1, 2, 2**64 - 1, 2**64, *EMPTYING, *(_of_bits(rng, bits) for bits in sizes)):
+        expected = [abs(c) for c in _chain(-d, 9)]
+        for v in range(1, 10):
+            assert _gmp.chain(d, v) == expected[:v], (d.bit_length(), v)
+    assert expected[-1].bit_length() > 1_000_000
+    for d in EMPTYING:
+        m2, m3 = (abs(c) for c in _chain(-d, 3)[1:])
+        assert _limb_count(m2 * (d + 2)) == _limb_count(m2) + _limb_count(d + 2) == _limb_count(m3) + 1
 
 
-def test_gmp_product_is_python_product_without_the_library(monkeypatch):
+@needs_gmp
+def test_gmp_chain_hands_each_step_the_limbs_of_the_last(monkeypatch):
+    # a lopsided step multiplies M_k's limbs, trimmed of any top limb that the
+    # product or the exact division left empty, by those of d + k
+    library = _gmp.load()
+    mpn_mul, operands = library[0], []
+
+    def spy_mul(product, operand, n, factor, m):
+        operands.append((n, m))
+        mpn_mul(product, operand, n, factor, m)
+
+    monkeypatch.setattr(_gmp, "load", lambda: (spy_mul, *library[1:]))
+    for d in (*EMPTYING, 3**5000):
+        operands.clear()
+        magnitudes = _gmp.chain(d, 9)
+        steps = [k for k in range(1, 9) if k not in (1, 3)]
+        assert operands == [(_limb_count(magnitudes[k - 1]), _limb_count(d + k)) for k in steps], d.bit_length()
+
+
+def test_gmp_chain_is_none_without_the_library(monkeypatch):
     monkeypatch.setattr(_gmp, "load", lambda: None)
-    a, b = -(3**9000), 7**4000
-    assert _gmp.mul(a, b) == a * b and _gmp.mul(a, a) == a * a
+    assert _gmp.chain(3**9000, 5) is None
+    assert _big_chain(-(3**9000), 5) == _chain(-(3**9000), 5)
 
 
 class _ReachedTheLibrary(Exception):
@@ -388,23 +422,25 @@ def _reached(*args):
 
 
 def test_gmp_leaves_products_past_the_cap_to_python(monkeypatch):
-    # GMP aborts the process where an allocation fails, so past the cap the
-    # product must never reach the library, here a stand-in whose functions
-    # (mpn_mul, mpn_sqr and the view of the product buffer) all raise
-    monkeypatch.setattr(_gmp, "load", lambda: (_reached, _reached, _reached))
+    # GMP aborts the process where an allocation fails, so a chain whose last
+    # product could pass the cap must never reach the library, here a stand-in
+    # whose functions (the four mpn calls and the view of a buffer) all raise.
+    # That product M_(v-1) (d + v - 1) is below (d + v)**v, of v * bits(d + v)
+    # bits at most, which the cap is checked against
+    monkeypatch.setattr(_gmp, "load", lambda: (_reached,) * 5)
     monkeypatch.setattr(_gmp, "MAX_PRODUCT_BITS", 1000)
-    a, b = 3**400, -(5**300)  # 634 + 697 bits
-    assert _gmp.mul(a, b) == a * b and _gmp.mul(b, b) == b * b
-    a, b = 3**200, 5**200  # 317 + 465 and 317 + 317 bits go to the library
-    for x, y in ((a, b), (a, a)):
+    for d, v in ((1 << 249, 5), ((1 << 250) - 2, 4)):  # 5 * 250 and 4 * 251 bits
+        assert _gmp.chain(d, v) is None, (d, v)
+        assert _big_chain(-d, v) == _chain(-d, v)
+    for d, v in (((1 << 250) - 5, 4), (3**200, 3)):  # 4 * 250 and 3 * 317 bits
         with pytest.raises(_ReachedTheLibrary):
-            _gmp.mul(x, y)
+            _gmp.chain(d, v)
 
 
 @needs_gmp
 @pytest.mark.parametrize("byteorder, limb_bits", [("big", 64), ("little", 32)])
 def test_gmp_is_refused_unless_its_limbs_are_little_endian_64_bit(byteorder, limb_bits, monkeypatch):
-    # mul reads and writes limbs as 8 little-endian bytes each, so any other
+    # chain reads and writes limbs as 8 little-endian bytes each, so any other
     # limb is refused: Python multiplies instead
     import ctypes
 
@@ -420,58 +456,93 @@ def test_gmp_is_refused_unless_its_limbs_are_little_endian_64_bit(byteorder, lim
     assert _gmp.load.__wrapped__() is not None  # the stand-ins alone refused it
 
 
+@needs_gmp
+def test_gmp_is_refused_without_its_exact_division(monkeypatch):
+    # mpn_divexact_1 is not in GMP's documented interface, so a build may
+    # lack it: the library is then refused and Python multiplies
+    import ctypes
+
+    class WithoutDivexact(ctypes.CDLL):
+        def __getattr__(self, name):
+            if name == "__gmpn_divexact_1":
+                raise AttributeError(name)
+            return super().__getattr__(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", WithoutDivexact)
+    assert _gmp.load.__wrapped__() is None
+    monkeypatch.undo()
+    assert _gmp.load.__wrapped__() is not None
+
+
 @pytest.fixture
 def gmp_calls(monkeypatch):
-    """What is asked of _gmp: "load" for each look for the library, and the
-    operand sizes of each product it is handed."""
+    """What is asked of _gmp: "load" for each look for the library, and
+    ``(bits(d), v)`` for each chain it is handed."""
     calls = []
-    load, mul = _gmp.load, _gmp.mul
+    load, chain = _gmp.load, _gmp.chain
 
     def spy_load():
         calls.append("load")
         return load()
 
-    def spy_mul(x: int, y: int) -> int:
-        calls.append((x.bit_length(), y.bit_length()))
-        return mul(x, y)
+    def spy_chain(d: int, v: int) -> list[int] | None:
+        calls.append((d.bit_length(), v))
+        return chain(d, v)
 
     monkeypatch.setattr(_gmp, "load", spy_load)
-    monkeypatch.setattr(_gmp, "mul", spy_mul)
+    monkeypatch.setattr(_gmp, "chain", spy_chain)
     return calls
 
 
 def test_peel_block_sends_only_products_past_the_crossover_to_gmp(gmp_calls):
     # a block goes to GMP only where a chain multiplies out, which a block of
-    # value 1 never does, nor one part with the chain from above, and only once
-    # its lower chain's argument v - end has more bits than the crossover; it
-    # peels the same either way.  Spans: one part, many parts, and a first
-    # block, whose upper chain's argument v is small
-    rng = random.Random(28)
+    # value 1 never does, nor one part with the chain from above, and only
+    # once its lower chain's argument c = v - end is at most _GMP_FLOOR and
+    # its largest product, v * bits(c), passes the crossover; an upper chain
+    # multiplied out goes by the same rule.  It peels the same either way.
+    # Spans: one part, many parts, a first block (whose upper chain's argument
+    # v is small), and an upper argument 200 bits shorter than the lower
+    rng = random.Random(30)
     library = _gmp.load()
-    crossover = _gmp.CROSSOVER
-    for v in range(1, 9):
-        # v - end at random of crossover - 1 to crossover + 300 bits, and at
-        # the edge 2**crossover, the least of crossover + 1 bits
-        sizes = (crossover - 1, crossover + 1, crossover + 300)
-        for magnitude in ((1 << crossover) - 1, 1 << crossover, *(abs(_signed(rng, bits)) for bits in sizes)):
-            bits, end = magnitude.bit_length(), v + magnitude
-            for start in (end, end - rng.randrange(1, 10**6), 1):
-                for with_above in (False, True):
-                    if with_above and start == 1:
-                        continue
-                    above = None
-                    if with_above:
-                        above = peel_block([0] * (v + 1), v + 1, start - rng.randint(1, 9), start - 1)
-                    a = [rng.randint(-(10**6), 10**6) for _ in range(v)]
-                    reference = list(a)
-                    gmp_calls.clear()
-                    assert peel_block(a, v, start, end, above) == (v, two_chain_peel(reference, v, start, end))
-                    assert a == reference, (v, bits, start == end, with_above)
-                    multiplies = v > 1 and not (start == end and with_above) and bits > crossover
-                    products = [call for call in gmp_calls if call != "load"]
-                    assert ("load" in gmp_calls) == multiplies, (v, bits, start == end, with_above)
-                    assert bool(products) == (multiplies and library is not None), (v, bits)
-                    assert all(min(operands) > crossover for operands in products), (v, bits, products)
+    crossover, floor = _gmp.CROSSOVER, -_GMP_FLOOR
+
+    def passes(c: int, v: int) -> bool:
+        return c <= -floor and v * c.bit_length() > crossover
+
+    blocks = []
+    for v in range(1, 10):
+        # v * bits at the crossover and just past it, and c at the floor and just above it
+        for bits in (crossover // v, crossover // v + 1, crossover + 300):
+            blocks.append((v, _of_bits(rng, bits)))
+        # and a lower argument whose upper one, 200 bits shorter, is just above the floor
+        blocks += [(v, floor), (v, floor - 1), (v, _of_bits(rng, 1224))]
+    blocks.append((40, _of_bits(rng, 300)))  # v * bits past the crossover, but small numbers: the loops
+    assert any(v * magnitude.bit_length() == crossover for v, magnitude in blocks)
+    assert any(v * magnitude.bit_length() == crossover + 1 for v, magnitude in blocks)
+    for v, magnitude in blocks:
+        end = v + magnitude
+        upper = _of_bits(rng, magnitude.bit_length() - 200) if magnitude.bit_length() > 200 else magnitude
+        for start in (end, end - rng.randrange(1, 10**6), 1, v + 1 + upper):
+            for with_above in (False, True):
+                if with_above and start == 1:
+                    continue
+                above = None
+                if with_above:
+                    above = peel_block([0] * (v + 1), v + 1, start - rng.randint(1, 9), start - 1)
+                a = [rng.randint(-(10**6), 10**6) for _ in range(v)]
+                reference = list(a)
+                gmp_calls.clear()
+                assert peel_block(a, v, start, end, above) == (v, two_chain_peel(reference, v, start, end))
+                assert a == reference, (v, magnitude.bit_length(), start == end, with_above)
+                top, bottom = v - start + 1, v - end
+                multiplies = v > 1 and not (start == end and with_above) and passes(bottom, v)
+                chains = []
+                if multiplies and library is not None:
+                    chains.append((-bottom).bit_length())
+                    if start != end and not with_above and passes(top, v):
+                        chains.append((-top).bit_length())
+                assert ("load" in gmp_calls) == multiplies, (v, magnitude.bit_length(), start == end, with_above)
+                assert [call for call in gmp_calls if call != "load"] == [(bits, v) for bits in chains]
 
 
 @needs_gmp
