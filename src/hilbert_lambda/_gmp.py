@@ -23,7 +23,7 @@ import sys
 
 SONAME = "libgmp.so.10"
 
-# calculus.peel_block sends a binomial chain C(c, 1..v) here once its largest
+# calculus._chain asks for a binomial chain C(c, 1..v) here once its largest
 # product, about v * bits(c), has more bits than this: below it the calls and
 # copies cost more than GMP saves (measured on x86-64, Python 3.11 and GMP 6.2)
 CROSSOVER = 8000

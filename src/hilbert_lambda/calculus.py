@@ -7,13 +7,13 @@ what the call for the block above returned, and reuses that binomial chain,
 by Pascal's rule, when its value is one less.  A block of one part is a
 single binomial term whose coefficients are that chain alone, so it walks
 only that chain, and by subtractions alone when the chain above is reused.
-A chain multiplied out squares for C(c, 2) = (c*c - c) / 2 and 24 C(c, 4) =
-(c*c - 3c + 1)**2 - 1, as CPython squares faster than it multiplies.  Once
-the chain's largest product, about v times the bits of its argument c, has
-more bits than ``_gmp.CROSSOVER``, as in the blocks of the astronomical
-answers, the whole chain steps on the limbs of the system's GMP library
-where it loads (:mod:`hilbert_lambda._gmp`), and is read back as exact
-``int``s; the loops for smaller chains are unchanged.
+The loops step a chain by one lopsided product per term.  Once its largest
+product, about v times the bits of its argument c, has more bits than
+``_gmp.CROSSOVER``, as in the blocks of the astronomical answers, the chain
+is built whole instead, on every platform: on the limbs of the system's GMP
+library where it loads (:mod:`hilbert_lambda._gmp`), read back as exact
+``int``s, and by Python elsewhere.  Only a chain built whole squares, for
+C(c, 2) = (c*c - c) / 2 and 24 C(c, 4) = (c*c - 3c + 1)**2 - 1.
 :func:`block_value` is that block's value at one integer x, for evaluation.
 :class:`Sequence` and :func:`delta` difference a finite window of samples
 f(0), ..., f(k-1) directly, and :func:`reduce` repeats :func:`delta` until
@@ -41,7 +41,7 @@ from . import _gmp
 
 Rational = Union[int, Fraction]
 
-# the largest chain argument c that GMP takes, as its calls cost more than they
+# the largest chain argument c built whole, as GMP's calls cost more than they
 # save on the many short steps of a chain of small c and large v; since chain
 # arguments are never positive past v, peel_block tells a block of small
 # numbers by this one comparison, which it makes for every block
@@ -144,53 +144,50 @@ def peel_block(a: list[int], v: int, start: int, end: int, above: tuple | None =
     one, Pascal's rule steps twice, C(bottom, k + 1) = C(top, k + 1) -
     C(bottom, k), and the peel takes subtractions only.
 
-    A chain multiplied out steps C(c, k + 1) = C(c, k) (c - k) / (k + 1), a
-    lopsided product, but squares at k = 1 and 3, as a square shares its
-    Karatsuba halves: C(c, 2) = (c*c - c) >> 1 and, with u = C(c, 2) - c,
-    C(c, 4) = (u*u + u) // 6 = ((c*c - 3c + 1)**2 - 1) // 24.
-
-    A block of value 2 or more whose lower chain multiplies out, with
-    bottom at most ``_GMP_FLOOR`` and v * bits(bottom) past the GMP
-    crossover, takes the same steps on GMP's limbs instead
-    (:func:`_peel_through_gmp`), if the library loads.
+    The loops step a chain multiplied out by
+    C(c, k + 1) = C(c, k) (c - k) / (k + 1).  A block of value 2 or more
+    whose lower chain multiplies out, with bottom at most ``_GMP_FLOOR``
+    and v * bits(bottom) past the GMP crossover, has its chains built
+    whole by :func:`_chain` instead (:func:`_peel_whole`), on every
+    platform, whether or not the library loads.
     """
     below = above[1] if above is not None and above[0] == v + 1 else None
     top, bottom = v - start + 1, v - end
-    if bottom <= _GMP_FLOOR and v * bottom.bit_length() > _gmp.CROSSOVER and v > 1:
-        if (below is None or end != start) and _gmp.load():
-            return _peel_through_gmp(a, v, top, bottom, below, end == start)
+    if bottom <= _GMP_FLOOR and v * bottom.bit_length() > _gmp.CROSSOVER and v > 1 and (below is None or end != start):
+        return _peel_whole(a, v, top, bottom, below, end == start)
     chain, upper, lower = [bottom], top, bottom  # step k = 0: C(c, 1) = c
     a[v - 1] -= top - bottom
+    # exact: C(c, k) * (c - k) == (k + 1) * C(c, k + 1), for any integer c
     if end == start:
         for k in range(1, v):
             a[v - 1 - k] -= lower
             if below is not None:
                 upper = below[k] - upper
                 lower = upper - lower
-            elif k > 3 or k == 2:
-                lower = lower * (bottom - k) // (k + 1)
             else:
-                lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6
+                lower = lower * (bottom - k) // (k + 1)
             chain.append(lower)
         return v, chain
     for k in range(1, v):
-        # exact: C(c, k) * (c - k) == (k + 1) * C(c, k + 1), for any integer c
-        if k > 3 or k == 2:  # every step but k = 1 and 3, which square
-            upper = upper * (top - k) // (k + 1) if below is None else below[k] - upper
-            lower = lower * (bottom - k) // (k + 1)
-        elif k == 1:
-            upper = pair = (top * top - top) >> 1 if below is None else below[1] - upper
-            lower = (bottom * bottom - bottom) >> 1
-        else:
-            upper = ((u := pair - top) * u + u) // 6 if below is None else below[3] - upper
-            lower = ((u := chain[1] - bottom) * u + u) // 6
+        upper = upper * (top - k) // (k + 1) if below is None else below[k] - upper
+        lower = lower * (bottom - k) // (k + 1)
         chain.append(lower)
         a[v - 1 - k] -= upper - lower
     return v, chain
 
 
 def _chain(c: int, v: int) -> list[int]:
-    """C(c, 1..v), stepped as :func:`peel_block`'s loops step a chain."""
+    """C(c, 1..v), built whole.  Where c is at most ``_GMP_FLOOR`` and
+    v * bits(c) passes the crossover, these are GMP's magnitudes
+    |C(c, k)| = C(-c + k - 1, k), each with its sign (-1)**k, if the library
+    gives them; otherwise Python steps as :func:`peel_block`'s loops do, but
+    squares at k = 1 and 3, as a square shares its Karatsuba halves:
+    C(c, 2) = (c*c - c) >> 1 and, with u = C(c, 2) - c,
+    C(c, 4) = (u*u + u) // 6 = ((c*c - 3c + 1)**2 - 1) // 24."""
+    if c <= _GMP_FLOOR and v * c.bit_length() > _gmp.CROSSOVER:
+        magnitudes = _gmp.chain(-c, v)
+        if magnitudes is not None:
+            return [-m if k & 1 else m for k, m in enumerate(magnitudes, 1)]
     chain = [c]
     for k in range(1, v):
         if k == 1:
@@ -202,27 +199,15 @@ def _chain(c: int, v: int) -> list[int]:
     return chain
 
 
-def _big_chain(c: int, v: int) -> list[int]:
-    """C(c, 1..v) for c <= ``_GMP_FLOOR``: GMP's magnitudes
-    |C(c, k)| = C(-c + k - 1, k), each with its sign (-1)**k, or Python's
-    chain where GMP would pass its product cap."""
-    magnitudes = _gmp.chain(-c, v)
-    if magnitudes is None:
-        return _chain(c, v)
-    return [-m if k & 1 else m for k, m in enumerate(magnitudes, 1)]
-
-
-def _peel_through_gmp(a: list[int], v: int, top: int, bottom: int, below: list | None, one_part: bool) -> tuple:
+def _peel_whole(a: list[int], v: int, top: int, bottom: int, below: list | None, one_part: bool) -> tuple:
     """:func:`peel_block` for a block whose lower chain multiplies out past
-    the crossover: that chain goes through GMP, and so does the upper
-    chain when it multiplies out past the crossover too; the Pascal steps
-    from ``below`` stay subtractions."""
-    chain = _big_chain(bottom, v)
+    the crossover: each chain it multiplies out is built whole by
+    :func:`_chain`, and the Pascal steps from ``below`` stay subtractions."""
+    chain = _chain(bottom, v)
     if one_part:  # the single term's coefficients C(bottom, 0..v-1)
         terms = [1, *chain[:-1]]
     elif below is None:
-        past = top <= _GMP_FLOOR and v * top.bit_length() > _gmp.CROSSOVER
-        terms = map(operator.sub, _big_chain(top, v) if past else _chain(top, v), chain)
+        terms = map(operator.sub, _chain(top, v), chain)
     else:
         upper = [top]
         for k in range(1, v):

@@ -110,6 +110,9 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.numerators)
 
+    def __reduce__(self) -> tuple:  # pickles and copies rebuild through the reduction
+        return Polynomial.from_integers, (self.scale, self.numerators)
+
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]!r})"
 

@@ -55,10 +55,8 @@ ONE_PART_LOOP = (
     "            if below is not None:\n"
     "                upper = below[k] - upper\n"
     "                lower = upper - lower\n"
-    "            elif k > 3 or k == 2:\n"
-    "                lower = lower * (bottom - k) // (k + 1)\n"
     "            else:\n"
-    "                lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6\n"
+    "                lower = lower * (bottom - k) // (k + 1)\n"
 )
 
 MUTANTS = [
@@ -419,11 +417,8 @@ MUTANTS = [
         "                a[v - 1 - k] -= lower\n"
         "                upper = below[k] - upper\n"
         "                lower = upper - lower\n"
-        "            elif k > 3 or k == 2:\n"
-        "                lower = lower * (bottom - k) // (k + 1)\n"
-        "                a[v - 1 - k] -= lower\n"
         "            else:\n"
-        "                lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6\n"
+        "                lower = lower * (bottom - k) // (k + 1)\n"
         "                a[v - 1 - k] -= lower\n",
         ("tests/test_calculus.py",),
     ),
@@ -437,14 +432,11 @@ MUTANTS = [
         "                a[v - 1 - k] -= lower\n"
         "            else:\n"
         "                a[v - 1 - k] -= lower\n"
-        "                if k > 3 or k == 2:\n"
-        "                    lower = lower * (bottom - k) // (k + 1)\n"
-        "                else:\n"
-        "                    lower = (bottom * bottom - bottom) >> 1 if k == 1 else ((u := chain[1] - bottom) * u + u) // 6\n",
+        "                lower = lower * (bottom - k) // (k + 1)\n",
         ("tests/test_calculus.py",),
     ),
-    # the steps peel_block takes apart: C(c, 1) = c before its loops, and the
-    # squares for C(c, 2) and C(c, 4) in each chain it multiplies out
+    # the steps peel_block takes apart, C(c, 1) = c before its loops, and
+    # the lopsided step C(c, k + 1) = C(c, k) (c - k) / (k + 1) in each loop
     Mutant(
         "peel_block: the first step, C(c, 1) = c, subtracts nothing",
         "calculus.py",
@@ -453,49 +445,29 @@ MUTANTS = [
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: the lower chain's C(b, 2) square shifts by 2",
+        "peel_block: the lower chain's lopsided step divides by k + 2",
         "calculus.py",
-        "lower = (bottom * bottom - bottom) >> 1\n",
-        "lower = (bottom * bottom - bottom) >> 2\n",
+        "\n        lower = lower * (bottom - k) // (k + 1)\n",
+        "\n        lower = lower * (bottom - k) // (k + 2)\n",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: the lower chain's C(b, 4) square subtracts u",
+        "peel_block: the upper chain's lopsided step divides by k + 2",
         "calculus.py",
-        "lower = ((u := chain[1] - bottom) * u + u) // 6",
-        "lower = ((u := chain[1] - bottom) * u - u) // 6",
+        "upper = upper * (top - k) // (k + 1)",
+        "upper = upper * (top - k) // (k + 2)",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: the upper chain's C(t, 2) square shifts by 2",
+        "peel_block: one part's lopsided step divides by k + 2",
         "calculus.py",
-        "(top * top - top) >> 1",
-        "(top * top - top) >> 2",
+        "\n                lower = lower * (bottom - k) // (k + 1)\n",
+        "\n                lower = lower * (bottom - k) // (k + 2)\n",
         ("tests/test_calculus.py",),
     ),
-    Mutant(
-        "peel_block: the upper chain's C(t, 4) square subtracts u",
-        "calculus.py",
-        "((u := pair - top) * u + u) // 6",
-        "((u := pair - top) * u - u) // 6",
-        ("tests/test_calculus.py",),
-    ),
-    Mutant(
-        "peel_block: one part's C(b, 2) square shifts by 2",
-        "calculus.py",
-        "(bottom * bottom - bottom) >> 1 if k == 1",
-        "(bottom * bottom - bottom) >> 2 if k == 1",
-        ("tests/test_calculus.py",),
-    ),
-    Mutant(
-        "peel_block: one part's C(b, 4) square takes u from C(b, 3)",
-        "calculus.py",
-        "else ((u := chain[1] - bottom) * u + u) // 6",
-        "else ((u := chain[2] - bottom) * u + u) // 6",
-        ("tests/test_calculus.py",),
-    ),
-    # the GMP route: which blocks take it, the signs of its chains, and
-    # _gmp.chain's steps on the limbs
+    # the whole-chain route: which blocks take it, on size alone, which
+    # chains GMP builds, the signs and squares of _chain, and _gmp.chain's
+    # steps on the limbs
     Mutant(
         "peel_block: the first comparison of the GMP gate is reversed",
         "calculus.py",
@@ -518,45 +490,66 @@ MUTANTS = [
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: a largest product of exactly the crossover goes to GMP",
+        "peel_block: a largest product of exactly the crossover is built whole",
         "calculus.py",
         "and v * bottom.bit_length() > _gmp.CROSSOVER",
         "and v * bottom.bit_length() >= _gmp.CROSSOVER",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: a block of value 1, which multiplies nothing, looks for GMP",
+        "peel_block: the whole-chain route is taken only where the library loads",
         "calculus.py",
-        "_gmp.CROSSOVER and v > 1:",
-        "_gmp.CROSSOVER:",
+        "and (below is None or end != start):",
+        "and (below is None or end != start) and _gmp.load():",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block: an upper chain just above the floor goes to GMP",
+        "peel_block: a block of value 1, which multiplies nothing, is built whole and asks GMP",
         "calculus.py",
-        "past = top <= _GMP_FLOOR and",
-        "past = top >= _GMP_FLOOR and",
+        "_gmp.CROSSOVER and v > 1 and",
+        "_gmp.CROSSOVER and",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block through GMP: one part subtracts C(b, 1..v), not C(b, 0..v-1)",
+        "_chain: a largest product of exactly the crossover goes to GMP",
+        "calculus.py",
+        "and v * c.bit_length() > _gmp.CROSSOVER",
+        "and v * c.bit_length() >= _gmp.CROSSOVER",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_chain: a chain just above the floor goes to GMP",
+        "calculus.py",
+        "if c <= _GMP_FLOOR and",
+        "if c >= _GMP_FLOOR and",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_peel_whole: one part subtracts C(b, 1..v), not C(b, 0..v-1)",
         "calculus.py",
         "terms = [1, *chain[:-1]]",
         "terms = chain",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "peel_block through GMP: Pascal's rule reads the shared chain one place on",
+        "_peel_whole: Pascal's rule reads the shared chain one place on",
         "calculus.py",
         "upper.append(below[k] - upper[-1])",
         "upper.append(below[k + 1] - upper[-1])",
         ("tests/test_calculus.py",),
     ),
     Mutant(
-        "_big_chain: the sign parity is flipped",
+        "_chain: the sign parity of GMP's magnitudes is flipped",
         "calculus.py",
         "return [-m if k & 1 else m for k, m in enumerate(magnitudes, 1)]",
         "return [m if k & 1 else -m for k, m in enumerate(magnitudes, 1)]",
+        ("tests/test_calculus.py",),
+    ),
+    Mutant(
+        "_chain: the C(c, 2) square shifts by 2",
+        "calculus.py",
+        "chain.append((c * c - c) >> 1)",
+        "chain.append((c * c - c) >> 2)",
         ("tests/test_calculus.py",),
     ),
     Mutant(
@@ -856,7 +849,7 @@ MUTANTS = [
         "range(n - 1, k, -1)",
         ("tests/test_polynomial.py",),
     ),
-    # Polynomial's repr and equality
+    # Polynomial's repr, equality and pickles
     Mutant(
         "Polynomial.__repr__: shows each coefficient's repr, Fraction(1, 2), not 1/2",
         "polynomial.py",
@@ -869,6 +862,13 @@ MUTANTS = [
         "polynomial.py",
         "return NotImplemented",
         "return False",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "Polynomial.__reduce__: drops the top numerator",
+        "polynomial.py",
+        "from_integers, (self.scale, self.numerators)",
+        "from_integers, (self.scale, self.numerators[:-1])",
         ("tests/test_polynomial.py",),
     ),
     # parse_polynomial's signs and divisors

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hilbert_lambda import _gmp
+from hilbert_lambda import _gmp, calculus
 from hilbert_lambda.calculus import (
     _GMP_FLOOR,
     LengthTooShortError,
     Sequence,
-    _big_chain,
     _chain,
     binomial_seq_value,
     delta,
@@ -260,10 +259,10 @@ def test_peel_block_single_parts_match_the_two_chain_walk():
 
 def test_peel_block_chains_at_karatsuba_sizes():
     # starts and spans of 10**700 and 10**5000 (2 300 and 16 600 bits) take
-    # the chains, whose C(c, 2) and C(c, 4) are squarings, past CPython's
-    # Karatsuba cutoffs (about 2 100 bits for a product and 4 200 for a
-    # square), and the larger ones past the GMP crossover, where the library
-    # loads; v = 1..8 covers chains that stop before either square.
+    # the chains past CPython's Karatsuba cutoffs (about 2 100 bits for a
+    # product and 4 200 for a square), in the loops or, past the GMP
+    # crossover, built whole, where C(c, 2) and C(c, 4) are squarings; v =
+    # 1..8 covers chains that stop before either square.
     # Gaps and first blocks multiply out both chains, adjacent values hand
     # the chain down, and one-part blocks walk one chain, with or without it
     rng = random.Random(14)
@@ -378,13 +377,14 @@ def test_gmp_chain_matches_python_chain():
     rng = random.Random(29)
     crossover = _gmp.CROSSOVER
     sizes = (crossover // 9, crossover // 2, crossover // 2 + 1, crossover, 120_000)
+    # against math.comb, as _chain itself asks GMP for chains past the crossover
     for d in (1, 2, 2**64 - 1, 2**64, *EMPTYING, *(_of_bits(rng, bits) for bits in sizes)):
-        expected = [abs(c) for c in _chain(-d, 9)]
+        expected = [math.comb(d + k - 1, k) for k in range(1, 10)]
         for v in range(1, 10):
             assert _gmp.chain(d, v) == expected[:v], (d.bit_length(), v)
     assert expected[-1].bit_length() > 1_000_000
     for d in EMPTYING:
-        m2, m3 = (abs(c) for c in _chain(-d, 3)[1:])
+        m2, m3 = math.comb(d + 1, 2), math.comb(d + 2, 3)
         assert _limb_count(m2 * (d + 2)) == _limb_count(m2) + _limb_count(d + 2) == _limb_count(m3) + 1
 
 
@@ -408,9 +408,10 @@ def test_gmp_chain_hands_each_step_the_limbs_of_the_last(monkeypatch):
 
 
 def test_gmp_chain_is_none_without_the_library(monkeypatch):
+    # and _chain steps past the crossover in Python instead
     monkeypatch.setattr(_gmp, "load", lambda: None)
     assert _gmp.chain(3**9000, 5) is None
-    assert _big_chain(-(3**9000), 5) == _chain(-(3**9000), 5)
+    assert _chain(-(3**9000), 5) == [binomial_seq_value(k, -(3**9000)) for k in range(1, 6)]
 
 
 class _ReachedTheLibrary(Exception):
@@ -426,12 +427,15 @@ def test_gmp_leaves_products_past_the_cap_to_python(monkeypatch):
     # product could pass the cap must never reach the library, here a stand-in
     # whose functions (the four mpn calls and the view of a buffer) all raise.
     # That product M_(v-1) (d + v - 1) is below (d + v)**v, of v * bits(d + v)
-    # bits at most, which the cap is checked against
+    # bits at most, which the cap is checked against.  _chain, which asks GMP
+    # here for chains of more than 200 bits, then steps in Python
     monkeypatch.setattr(_gmp, "load", lambda: (_reached,) * 5)
     monkeypatch.setattr(_gmp, "MAX_PRODUCT_BITS", 1000)
+    monkeypatch.setattr(_gmp, "CROSSOVER", 0)
+    monkeypatch.setattr(calculus, "_GMP_FLOOR", -(1 << 200))
     for d, v in ((1 << 249, 5), ((1 << 250) - 2, 4)):  # 5 * 250 and 4 * 251 bits
         assert _gmp.chain(d, v) is None, (d, v)
-        assert _big_chain(-d, v) == _chain(-d, v)
+        assert _chain(-d, v) == [binomial_seq_value(k, -d) for k in range(1, v + 1)]
     for d, v in (((1 << 250) - 5, 4), (3**200, 3)):  # 4 * 250 and 3 * 317 bits
         with pytest.raises(_ReachedTheLibrary):
             _gmp.chain(d, v)
@@ -500,10 +504,11 @@ def test_peel_block_sends_only_products_past_the_crossover_to_gmp(gmp_calls):
     # once its lower chain's argument c = v - end is at most _GMP_FLOOR and
     # its largest product, v * bits(c), passes the crossover; an upper chain
     # multiplied out goes by the same rule.  It peels the same either way.
+    # A chain is handed to _gmp.chain, which looks for the library, whether
+    # or not the library loads
     # Spans: one part, many parts, a first block (whose upper chain's argument
     # v is small), and an upper argument 200 bits shorter than the lower
     rng = random.Random(30)
-    library = _gmp.load()
     crossover, floor = _gmp.CROSSOVER, -_GMP_FLOOR
 
     def passes(c: int, v: int) -> bool:
@@ -537,22 +542,63 @@ def test_peel_block_sends_only_products_past_the_crossover_to_gmp(gmp_calls):
                 top, bottom = v - start + 1, v - end
                 multiplies = v > 1 and not (start == end and with_above) and passes(bottom, v)
                 chains = []
-                if multiplies and library is not None:
+                if multiplies:
                     chains.append((-bottom).bit_length())
                     if start != end and not with_above and passes(top, v):
                         chains.append((-top).bit_length())
                 assert ("load" in gmp_calls) == multiplies, (v, magnitude.bit_length(), start == end, with_above)
                 assert [call for call in gmp_calls if call != "load"] == [(bits, v) for bits in chains]
+    # _chain asks GMP by the same rule, and not at the crossover itself
+    for v in (2, 4, 5):
+        for extra in (0, 1):
+            magnitude = _of_bits(rng, crossover // v + extra)
+            gmp_calls.clear()
+            assert _chain(-magnitude, v) == [binomial_seq_value(k, -magnitude) for k in range(1, v + 1)]
+            assert [call for call in gmp_calls if call != "load"] == [(magnitude.bit_length(), v)] * extra, v
 
 
-@needs_gmp
+@pytest.mark.parametrize("library", ["as it loads", "forced off"])
+def test_peel_block_routes_by_size_whether_or_not_the_library_loads(library, monkeypatch):
+    # a block of value v >= 2 whose lower chain multiplies out is built whole
+    # once v * bits(bottom) passes the crossover, and stays in the loops at
+    # the crossover itself, for one part and for many, with or without GMP
+    if library == "forced off":
+        monkeypatch.setattr(_gmp, "load", lambda: None)
+    whole, peel_whole = [], calculus._peel_whole
+
+    def spy(a, v, *args):
+        whole.append(v)
+        return peel_whole(a, v, *args)
+
+    monkeypatch.setattr(calculus, "_peel_whole", spy)
+    rng = random.Random(31)
+    for v in (2, 4, 5):
+        bits = _gmp.CROSSOVER // v
+        assert v * bits == _gmp.CROSSOVER and -_GMP_FLOOR < 1 << (bits - 1)
+        for extra in (0, 1):
+            end = v + _of_bits(rng, bits + extra)  # bottom = v - end
+            for start in (end, end - rng.randrange(1, 10**6)):
+                a = [rng.randint(-(10**6), 10**6) for _ in range(v)]
+                reference = list(a)
+                whole.clear()
+                assert peel_block(a, v, start, end) == (v, two_chain_peel(reference, v, start, end))
+                assert a == reference, (v, extra, start == end)
+                assert whole == [v] * extra, (v, extra, start == end)
+
+
 @pytest.mark.parametrize("text", [f"x^{n}" for n in range(8, 17)] + [f"9*x^{n}" for n in range(5, 12)])
 def test_gmp_route_changes_no_answer(text, monkeypatch):
-    # with the loader forced to find nothing, every block takes the loops
+    # with the loader forced to find nothing, the chains past the crossover
+    # are built whole by Python; with the crossover raised past every block,
+    # every block takes the loops
     p = parse_polynomial(text)
     outcome = recover_delta(p)
     assert isinstance(outcome, Success)
     built = build_hilbert(outcome.form)
     monkeypatch.setattr(_gmp, "load", lambda: None)
+    assert recover_delta(p) == outcome
+    assert build_hilbert(outcome.form) == built
+    monkeypatch.undo()
+    monkeypatch.setattr(_gmp, "CROSSOVER", 1 << 62)
     assert recover_delta(p) == outcome
     assert build_hilbert(outcome.form) == built

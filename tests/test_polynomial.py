@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -19,7 +21,7 @@ from hilbert_lambda.polynomial import (
     parse_polynomial,
     sample_points,
 )
-from hilbert_lambda import build_hilbert
+from hilbert_lambda import ExponentForm, build_hilbert
 from hilbert_lambda.calculus import delta, is_integer_sequence
 from support import cursor_parse, fraction_horner, needs_digit_limit, newton_horner_reference, past_digit_limit
 
@@ -52,6 +54,21 @@ def test_equality_and_hash_on_canonical_form():
     assert repr(Polynomial([1, Fraction(1, 2)])) == "Polynomial(['1', '1/2'])"
     # a non-Polynomial is left to the other operand's __eq__
     assert Polynomial([1]).__eq__(1) is NotImplemented
+
+
+def test_pickles_and_copies_keep_the_canonical_form():
+    # every protocol, and copies, rebuild through from_integers; numbers past
+    # the int-to-str digit limit only at protocols 2-5, as 0 and 1 write decimal text
+    small = [Polynomial([]), Polynomial([Fraction(1, 2), 3])]
+    huge = build_hilbert(ExponentForm(((2, 10**5000),)))
+    assert max(map(abs, huge.numerators)).bit_length() > 16_000
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for p in small + [huge] * (protocol >= 2):
+            q = pickle.loads(pickle.dumps(p, protocol))
+            assert type(q) is Polynomial and q == p, protocol
+    for p in small + [huge]:
+        for q in (copy.copy(p), copy.deepcopy(p)):
+            assert type(q) is Polynomial and q == p
 
 
 def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
