@@ -127,13 +127,13 @@ def sample_points(p: Polynomial, n: int) -> Sequence:
     return Sequence(p.evaluate(x) for x in range(n + 1))
 
 
-def newton_coeffs(p: Polynomial) -> tuple[int, list[int]]:
-    """``(L, [L*a_0, ..., L*a_n])``: ``L`` is ``p.scale`` and
-    ``a_k = Δ^k p(0)`` the coefficient of C(x, k) in p.  Synthetic division
-    of ``L*p`` by x, x - 1, ..., x - n + 1 leaves remainders b_k with
-    ``L*p = sum over k of b_k x(x-1)...(x-k+1)``, so ``L*a_k = k! b_k``; all in
-    integers.  p is integer-valued exactly when ``L`` divides every entry
-    (Pólya 1915)."""
+def newton_coeffs(p: Polynomial) -> list[int] | None:
+    """``[a_0, ..., a_n]`` (``[]`` for zero), ``a_k = Δ^k p(0)`` the coefficient
+    of C(x, k) in p, or None when p is not integer-valued.  With ``L = p.scale``,
+    synthetic division of ``L*p`` by x, x - 1, ..., x - n + 1 leaves remainders
+    b_k with ``L*p = sum over k of b_k x(x-1)...(x-k+1)``, so ``L*a_k = k! b_k``,
+    all in integers; p is integer-valued exactly when ``L`` divides every
+    ``L*a_k`` (Pólya 1915), so that test and the division by ``L`` live here."""
     scale, c = p.scale, list(p.numerators)
     n = len(c) - 1
     factorial = 1
@@ -145,7 +145,7 @@ def newton_coeffs(p: Polynomial) -> tuple[int, list[int]]:
             s = c[i] = c[i] + k * s
         factorial *= k
         c[k] *= factorial
-    return scale, c
+    return None if any(value % scale for value in c) else [value // scale for value in c]
 
 
 def from_newton(a: list[int]) -> Polynomial:

@@ -125,25 +125,23 @@ def subtract_block(p: Sequence, n: int, part_value: int, start: int, end: int) -
 def recover_delta(p: Polynomial, *, want_trace: bool = False) -> Outcome:
     """Decide Hilbertness of ``p`` and recover its partition by peeling blocks.
 
-    Runs on the Newton-basis core: the residual is held as its integer
-    coefficients a_k of C(x, k), which exist exactly when p is
-    integer-valued, so the up-front check is exact.  Each round's block is
-    the top nonzero a_m; removing it costs O(m) integer operations, the
-    decision O(n^2).  With ``want_trace`` every outcome carries a trace, empty
-    when no round ran; a step's residual is the a_k as its peel left them.
+    The residual is held as its integer coefficients a_k of C(x, k), which
+    :func:`newton_coeffs` hands over, or None when p is not integer-valued;
+    p's scale stays inside polynomial.py.  Each round's block is the top
+    nonzero a_m; removing it costs O(m) integer operations, the decision
+    O(n^2).  With ``want_trace`` every outcome carries a trace, empty when no
+    round ran; a step's residual is the a_k as its peel left them.
     """
     trace: tuple[TraceStep, ...] | None = () if want_trace else None
-    n = p.degree()
-    if n is None:
-        return Success(ExponentForm(), ("zero polynomial: empty partition by convention",), trace)
-    scale, a = newton_coeffs(p)
-    if any(value % scale for value in a):
+    a = newton_coeffs(p)
+    if a is None:
         return NotHilbert(NonIntegerValued(), trace)
-    a = [value // scale for value in a]
+    if not a:
+        return Success(ExponentForm(), ("zero polynomial: empty partition by convention",), trace)
     blocks: list[tuple[int, int]] = []
     start, above = 1, None
     # a block of value m + 1 writes only a_0..a_m and zeroes a_m: each a_m is final when read
-    for m in range(n, -1, -1):
+    for m in range(len(a) - 1, -1, -1):
         r = a[m]
         if r == 0:
             continue

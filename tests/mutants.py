@@ -710,10 +710,11 @@ MUTANTS = [
         RECOVERY_TESTS,
     ),
     Mutant(
-        "recover_delta: no Pólya integrality check, so x/2 decides as the empty partition",
+        "recover_delta: the zero polynomial's branch is dropped, so it loses its warning",
         "recovery.py",
-        "any(value % scale for value in a)",
-        "False",
+        "    if not a:\n"
+        '        return Success(ExponentForm(), ("zero polynomial: empty partition by convention",), trace)\n',
+        "",
         RECOVERY_TESTS,
     ),
     Mutant(
@@ -726,8 +727,8 @@ MUTANTS = [
     Mutant(
         "recover_delta: the pass stops above a_0, so no block of 1s is peeled",
         "recovery.py",
-        "range(n, -1, -1)",
-        "range(n, 0, -1)",
+        "range(len(a) - 1, -1, -1)",
+        "range(len(a) - 1, 0, -1)",
         RECOVERY_TESTS,
     ),
     Mutant(
@@ -836,6 +837,20 @@ MUTANTS = [
         ("tests/test_polynomial.py",),
     ),
     Mutant(
+        "from_newton: the inner Horner step multiplies by k + 1, not k",
+        "polynomial.py",
+        "acc[i] = acc[i - 1] - k * acc[i]",
+        "acc[i] = acc[i - 1] - (k + 1) * acc[i]",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "from_newton: the constant term's Horner step adds k * acc[0]",
+        "polynomial.py",
+        "- k * acc[0]",
+        "+ k * acc[0]",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
         "evaluate: drops the final factor v of x = u/v",
         "polynomial.py",
         "return Fraction(acc * v, self.scale * power)",
@@ -847,6 +862,21 @@ MUTANTS = [
         "polynomial.py",
         "range(n - 1, k - 1, -1)",
         "range(n - 1, k, -1)",
+        ("tests/test_polynomial.py",),
+    ),
+    # newton_coeffs' Pólya test, the one place that reads the scale L
+    Mutant(
+        "newton_coeffs: no Pólya integrality check, so x/2 decides as the empty partition",
+        "polynomial.py",
+        "any(value % scale for value in c)",
+        "False",
+        RECOVERY_TESTS,
+    ),
+    Mutant(
+        "newton_coeffs: the zero polynomial gives None, not []",
+        "polynomial.py",
+        "None if any(value % scale for value in c)",
+        "None if not c or any(value % scale for value in c)",
         ("tests/test_polynomial.py",),
     ),
     # Polynomial's repr, equality and pickles
@@ -884,6 +914,20 @@ MUTANTS = [
         "polynomial.py",
         'denominator *= _denominator(m, "div")',
         'denominator = _denominator(m, "div")',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "parse_polynomial: the first term also needs a sign",
+        "polynomial.py",
+        "if pos and sign is None:",
+        "if sign is None:",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "parse_polynomial: a missing last term reads past the end of the text",
+        "polynomial.py",
+        "if at == len(text):",
+        "if False:",
         ("tests/test_polynomial.py",),
     ),
     # each public name in one module's __all__, gathered by the package

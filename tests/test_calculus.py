@@ -602,3 +602,37 @@ def test_gmp_route_changes_no_answer(text, monkeypatch):
     monkeypatch.setattr(_gmp, "CROSSOVER", 1 << 62)
     assert recover_delta(p) == outcome
     assert build_hilbert(outcome.form) == built
+
+
+M = 10**4000  # 13 288 bits: v * bits(bottom) passes the crossover for every value below
+
+
+@pytest.mark.parametrize(
+    "pairs", [((20, M), (10, 1)), ((20, M), (10, M)), ((40, M), (30, M), (5, 1)), ((60, M), (30, M))]
+)
+def test_whole_route_takes_gapped_partitions(pairs, monkeypatch):
+    # natural answers have no gap between their values, so each of their
+    # whole blocks has many parts and a chain from above; these forms send
+    # every block, one part or many, to the whole route with no chain from
+    # above, in the build and again in the decide.  The answer and the build
+    # are the same with the library forced off, which takes the same route,
+    # and with the crossover raised past every block, which takes the loops
+    form = ExponentForm(pairs)
+    whole, peel_whole = [], calculus._peel_whole
+
+    def spy(a, v, top, bottom, below, one_part):
+        whole.append((v, one_part, below is None))
+        return peel_whole(a, v, top, bottom, below, one_part)
+
+    monkeypatch.setattr(calculus, "_peel_whole", spy)
+    expected = [(value, multiplicity == 1, True) for value, multiplicity in pairs] * 2
+    built = build_hilbert(form)
+    assert recover_delta(built) == Success(form)
+    assert whole == expected
+    for name, value in (("load", lambda: None), ("CROSSOVER", 1 << 62)):
+        whole.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_gmp, name, value)
+            assert build_hilbert(form) == built
+            assert recover_delta(built) == Success(form)
+        assert whole == (expected if name == "load" else []), name
