@@ -6,8 +6,11 @@ Subcommands: ``recover`` (polynomial -> partition or rejection),
 one polynomial per stdin line when the positional argument is omitted and
 emit one result line each, in input order; a polynomial argument is
 decided as a batch of one.  Both run one decide loop, each with its own
-renderer; every subcommand declares its own options and builds its JSON
-objects whole.
+renderer; every subcommand declares its own options.  A JSON object is
+written as one line of ready-made tokens in ``json.dumps``'s key order and
+separators: fixed keys and literals are constants, strings go through
+``json.dumps`` and integers through :func:`~hilbert_lambda.polynomial.int_text`,
+so an answer of any size prints.
 
 Exit codes: 0 success / Hilbert, 1 not Hilbert, 2 usage, parse or other
 error.  Batch mode reports errors per line and exits with the worst code;
@@ -23,10 +26,17 @@ import json
 import random
 import signal
 import sys
-from typing import Callable
+from typing import Callable, Iterable
 
 from .partition import ExponentForm, build_hilbert, format_exponent_form, parse_partition, random_partition
-from .polynomial import PolynomialSyntaxError, digit_limit_text, format_polynomial, parse_polynomial
+from .polynomial import (
+    PolynomialSyntaxError,
+    coefficient_texts,
+    digit_limit_text,
+    format_polynomial,
+    int_text,
+    parse_polynomial,
+)
 from .recovery import Outcome, Success, recover_delta
 
 
@@ -102,11 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _error_text(exc: Exception) -> str:
-    # a number too long to print raises a plain ValueError that advises raising
-    # the digit limit, which the CLI never does; a MemoryError has no text of its own
-    if type(exc) is ValueError and "int_max_str_digits" in str(exc):
-        return f"a number in the output is past Python's {sys.get_int_max_str_digits()}-digit limit"
-    return str(exc) or type(exc).__name__
+    return str(exc) or type(exc).__name__  # a MemoryError has no text of its own
 
 
 def run() -> None:
@@ -119,18 +125,31 @@ def run() -> None:
 # ceiling on the expanded part count before lambda_flat is suppressed;
 # recovered multiplicities can reach 10^80+ even for small inputs
 FLAT_PARTS_LIMIT = 100_000
+# json.dumps(text) for a str, without json.dumps's checks of its keywords
+_json_string = json.encoder.encode_basestring_ascii
 
 
-def _lambda_keys(form: ExponentForm, warnings: tuple[str, ...] = ()) -> tuple[dict, dict]:
-    """The keys every JSON λ has, ``lambda_flat`` and ``lambda_exp``, and a
-    dict with the ``warnings`` key, or an empty one when there are none.
+def _array(items: Iterable[str]) -> str:
+    """A JSON array of encoded items."""
+    return f"[{', '.join(items)}]"
+
+
+def _lambda_keys(form: ExponentForm, warnings: tuple[str, ...] = ()) -> tuple[str, str]:
+    """The keys every JSON λ has, ``lambda_flat`` and ``lambda_exp``, and the
+    ``warnings`` key after its comma, or "" when there are none.
     ``lambda_flat`` is null past FLAT_PARTS_LIMIT parts, and a warning says so."""
     total_parts = sum(mult for _, mult in form.pairs)  # not len(form), which overflows past sys.maxsize
-    flat = form.parts if total_parts <= FLAT_PARTS_LIMIT else None
-    if flat is None:
-        warnings += (f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp",)
-    lam = {"lambda_flat": flat, "lambda_exp": [[value, mult] for value, mult in form.pairs]}
-    return lam, {"warnings": list(warnings)} if warnings else {}
+    expand = total_parts <= FLAT_PARTS_LIMIT
+    flat, runs = [], []
+    for value, mult in form.pairs:
+        text = int_text(value)
+        runs.append(f"[{text}, {int_text(mult)}]")
+        if expand:
+            flat += [text] * mult
+    if not expand:
+        warnings += (f"partition has {int_text(total_parts)} parts; lambda_flat suppressed, see lambda_exp",)
+    warnings_json = f', "warnings": {_array(map(_json_string, warnings))}' if warnings else ""
+    return f'"lambda_flat": {_array(flat) if expand else "null"}, "lambda_exp": {_array(runs)}', warnings_json
 
 
 def _decide(
@@ -152,7 +171,8 @@ def _decide(
             if single:
                 raise
             message = _error_text(exc)
-            print(json.dumps({"input": text, "error": message}) if as_json else f"error: {message}")
+            line = f'{{"input": {_json_string(text)}, "error": {_json_string(message)}}}'
+            print(line if as_json else f"error: {message}")
             worst = 2
             continue
         if not isinstance(outcome, Success):
@@ -170,28 +190,39 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
     def as_json(text: str, outcome: Outcome) -> None:
         # a step's first four fields, m, r, s and e: the residual is for text mode
-        trace = {} if outcome.trace is None else {"trace": [dict(zip("mrse", step)) for step in outcome.trace]}
+        trace = "" if outcome.trace is None else ', "trace": ' + _array(
+            f'{{"m": {int_text(m)}, "r": {int_text(r)}, "s": {int_text(s)}, "e": {int_text(e)}}}'
+            for m, r, s, e, _ in outcome.trace
+        )
         if isinstance(outcome, Success):
             lam, warnings = _lambda_keys(outcome.form, outcome.warnings)
-            fit = {} if ambient is None else {"ambient": {"n": ambient, "ok": fits(outcome)}}
-            payload = {"input": text, "hilbert": True, **lam, "reason": None, **warnings, **fit, **trace}
+            fit = ""
+            if ambient is not None:
+                ok = "true" if fits(outcome) else "false"
+                fit = f', "ambient": {{"n": {int_text(ambient)}, "ok": {ok}}}'
+            print(f'{{"input": {_json_string(text)}, "hilbert": true, {lam}, "reason": null{warnings}{fit}{trace}}}')
         else:
-            reason = outcome.reason.describe()
-            payload = {"input": text, "hilbert": False, "lambda_flat": [], "lambda_exp": [], "reason": reason, **trace}
-        print(json.dumps(payload))
+            reason = _json_string(outcome.reason.describe())
+            print(
+                f'{{"input": {_json_string(text)}, "hilbert": false, "lambda_flat": [], "lambda_exp": [],'
+                f' "reason": {reason}{trace}}}'
+            )
 
     def as_text(text: str, outcome: Outcome) -> None:
         # stdout has the one result line; warnings and the trace go to stderr
         if isinstance(outcome, Success):
-            fit = "" if ambient is None else f"  [ambient n={ambient}: {'ok' if fits(outcome) else 'exceeded'}]"
+            fit = ""
+            if ambient is not None:
+                fit = f"  [ambient n={int_text(ambient)}: {'ok' if fits(outcome) else 'exceeded'}]"
             print(f"λ = {format_exponent_form(outcome.form)}{fit}")
             for warning in outcome.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
         else:
             print(f"not a Hilbert polynomial: {outcome.reason.describe()}")
         for step in outcome.trace or ():
-            residual = ",".join(map(str, step.residual))
-            print(f"trace: m={step.m} r={step.r} s={step.s} e={step.e} residual=({residual})", file=sys.stderr)
+            m, r, s, e = map(int_text, step[:4])
+            residual = ",".join(map(int_text, step.residual))
+            print(f"trace: m={m} r={r} s={s} e={e} residual=({residual})", file=sys.stderr)
 
     json_mode = args.format == "json"
     return _decide(args.polynomial, as_json if json_mode else as_text, want_trace=args.verbose, as_json=json_mode)
@@ -211,8 +242,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     p = build_hilbert(form)
     if args.format == "json":
         lam, warnings = _lambda_keys(form)
-        polynomial, coeffs = format_polynomial(p), [str(c) for c in p.coeffs]
-        print(json.dumps({"input": args.partition, **lam, "polynomial": polynomial, "coeffs": coeffs, **warnings}))
+        polynomial, coeffs = _json_string(format_polynomial(p)), _array(map(_json_string, coefficient_texts(p)))
+        head = f'{{"input": {_json_string(args.partition)}, {lam}'
+        print(f'{head}, "polynomial": {polynomial}, "coeffs": {coeffs}{warnings}}}')
     else:
         print(format_polynomial(p))
     return 0
@@ -223,7 +255,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
     p = build_hilbert(form)
     if args.format == "json":
         lam, warnings = _lambda_keys(form)
-        print(json.dumps({**lam, "polynomial": format_polynomial(p), **warnings}))
+        print(f'{{{lam}, "polynomial": {_json_string(format_polynomial(p))}{warnings}}}')
     else:
         print(f"λ = {format_exponent_form(form)}")
         print(f"p = {format_polynomial(p)}")

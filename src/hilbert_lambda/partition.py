@@ -51,7 +51,7 @@ import sys
 from typing import Iterator
 
 from .calculus import block_value, peel_block
-from .polynomial import Polynomial, digit_limit_text, from_newton
+from .polynomial import Polynomial, digit_limit_text, from_newton, int_text
 
 
 class NonPositivePartError(ValueError):
@@ -257,7 +257,7 @@ def format_exponent_form(form: ExponentForm) -> str:
     """Canonical exponent text, e.g. "(6^2,5,4,1^3)", read from the runs; the empty partition is "()"."""
     pieces = []
     for value, multiplicity in form.pairs:
-        pieces.append(f"{value}^{multiplicity}" if multiplicity > 1 else str(value))
+        pieces.append(f"{int_text(value)}^{int_text(multiplicity)}" if multiplicity > 1 else int_text(value))
     return "(" + ",".join(pieces) + ")"
 
 

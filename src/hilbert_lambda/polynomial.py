@@ -16,6 +16,8 @@ Parsing takes one match of a compiled pattern per term and sums them per
 power as integer fractions; one lcm of their denominators gives the
 integer form of :class:`Polynomial`, and only its ``coeffs`` view builds
 :class:`Fraction` values.  No floating point is involved anywhere.
+:func:`int_text` writes an int of any size in decimal, whatever CPython's
+int-to-str digit limit; the package's renderers all write through it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "sample_points",
 ]
 
+import decimal
 import math
 import re
 import sys
@@ -113,11 +116,23 @@ class Polynomial:
     def __reduce__(self) -> tuple:  # pickles and copies rebuild through the reduction
         return Polynomial.from_integers, (self.scale, self.numerators)
 
+    def __reduce_ex__(self, protocol: int) -> tuple:
+        # protocols 0 and 1 write an int as decimal text, which CPython refuses
+        # past its digit limit: they write the integer form in hex, which has none
+        if protocol < 2:
+            return _from_hex, (hex(self.scale), tuple(map(hex, self.numerators)))
+        return self.__reduce__()
+
     def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coeffs]!r})"
+        return f"Polynomial({coefficient_texts(self)!r})"
 
     def __str__(self) -> str:
         return format_polynomial(self)
+
+
+def _from_hex(scale: str, numerators: tuple[str, ...]) -> Polynomial:
+    """The polynomial whose integer form is written in hex."""
+    return Polynomial.from_integers(int(scale, 16), [int(n, 16) for n in numerators])
 
 
 def sample_points(p: Polynomial, n: int) -> Sequence:
@@ -168,25 +183,86 @@ def digit_limit_text(digits: str) -> str:
     return f"{len(digits.lstrip('-'))}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
 
 
+# the most bits of an int whose decimal text has at most 640 digits, the
+# smallest int-to-str digit limit that CPython lets anything set
+_STR_BITS = 2126
+# the most bits of an int that _decimal_digits hands to Decimal() whole
+_DECIMAL_BITS = 128
+
+
+def int_text(n: int) -> str:
+    """``str(n)`` for an int of any size: ``str`` itself up to _STR_BITS bits,
+    which no digit limit refuses, and past them a divide-and-conquer
+    conversion in :mod:`decimal`, whose text has no limit."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    return "-" + _decimal_digits(-n) if n < 0 else _decimal_digits(n)
+
+
+def _decimal_digits(n: int) -> str:
+    """Decimal text of a positive int, as CPython 3.12's ``_pylong`` writes
+    it: n of at most w bits is hi * 2**w2 + lo at w2 = w // 2, both halves
+    are converted the same way and joined in exact ``Decimal`` arithmetic,
+    and each power 2**w2 is made once."""
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        # from the halves' powers, or one doubling: about 10 % faster than
+        # Decimal(2) ** w on x^14's and x^16's answers
+        result = powers.get(w)
+        if result is None:
+            if w <= _DECIMAL_BITS:
+                result = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:  # the smaller half first, so that the larger may be one doubling of it
+                result = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _DECIMAL_BITS:
+            return decimal.Decimal(n)
+        w2 = w >> 1
+        hi = n >> w2
+        lo = n - (hi << w2)
+        return convert(lo, w2) + convert(hi, w - w2) * power(w2)
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax, context.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        context.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
+def coefficient_texts(p: Polynomial) -> list[str]:
+    """Each coefficient as exact text, "n" or "n/d" in lowest terms, lowest power first."""
+    texts, scale = [], p.scale
+    for n in p.numerators:
+        g = math.gcd(n, scale)
+        texts.append(int_text(n // g) if g == scale else f"{int_text(n // g)}/{int_text(scale // g)}")
+    return texts
+
+
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text: descending powers, exact rationals, "0" for zero.
 
     Inverse of :func:`parse_polynomial`: parsing the output reproduces the
     polynomial coefficient-for-coefficient.
     """
-    coeffs, out = p.coeffs, ""
-    for power in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[power]
-        if c == 0:
+    texts, out = coefficient_texts(p), ""
+    for power in range(len(texts) - 1, -1, -1):
+        text = texts[power]
+        if text == "0":
             continue
+        negative = text[0] == "-"
         if not out:
-            out = "-" if c < 0 else ""
+            out = "-" if negative else ""
         else:
-            out += " - " if c < 0 else " + "
-        magnitude = abs(c)
+            out += " - " if negative else " + "
+        magnitude = text.lstrip("-")
         if power == 0:
-            out += str(magnitude)
-        elif magnitude == 1:
+            out += magnitude
+        elif magnitude == "1":
             out += _power_text(power)
         else:
             out += f"{magnitude}*{_power_text(power)}"

@@ -45,7 +45,7 @@ from .calculus import Sequence, binomial_seq_value, block_value, is_integer_sequ
 from .calculus import reduce  # noqa: F401  kept as recovery.reduce, which perfbench/worker.py traces
 from .partition import ExponentForm, Partition, non_incr_seqs
 from .partition import from_exponent_form  # noqa: F401  kept as recovery.from_exponent_form, which perfbench/worker.py traces
-from .polynomial import Polynomial, newton_coeffs, sample_points
+from .polynomial import Polynomial, int_text, newton_coeffs, sample_points
 
 
 class NonIntegerValued(NamedTuple):
@@ -62,7 +62,7 @@ class NegativeLeadingMultiplicity(NamedTuple):
     value: int
 
     def describe(self) -> str:
-        return f"negative leading multiplicity ({self.value} at degree {self.at_degree} residual)"
+        return f"negative leading multiplicity ({int_text(self.value)} at degree {self.at_degree} residual)"
 
 
 class SearchExhausted(NamedTuple):

@@ -276,13 +276,6 @@ MUTANTS = [
         "return int(text)",
         CLI_TESTS,
     ),
-    Mutant(
-        "_error_text: an answer past the digit limit keeps CPython's advice to raise it",
-        "cli.py",
-        'if type(exc) is ValueError and "int_max_str_digits" in str(exc):',
-        "if False:",
-        CLI_TESTS,
-    ),
     # the JSON λ and the stderr side channel
     Mutant(
         "_lambda_keys: a partition of exactly FLAT_PARTS_LIMIT parts loses lambda_flat",
@@ -292,19 +285,48 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
-        "_lambda_keys: lambda_flat holds the runs, not the parts",
+        "_lambda_keys: lambda_flat holds one part per run",
         "cli.py",
-        "flat = form.parts if",
-        "flat = form.pairs if",
+        "flat += [text] * mult",
+        "flat += [text]",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "_lambda_keys: the suppression warning counts the runs, not the parts",
+        "cli.py",
+        "partition has {int_text(total_parts)} parts",
+        "partition has {int_text(len(form.pairs))} parts",
         CLI_TESTS,
     ),
     Mutant(
         "recover --format json: warnings also go to stderr",
         "cli.py",
-        "        print(json.dumps(payload))\n",
-        "        print(json.dumps(payload))\n"
-        "        for warning in outcome.warnings if isinstance(outcome, Success) else ():\n"
-        "            print(f\"warning: {warning}\", file=sys.stderr)\n",
+        """{lam}, "reason": null{warnings}{fit}{trace}}}')\n""",
+        """{lam}, "reason": null{warnings}{fit}{trace}}}')\n"""
+        "            for warning in outcome.warnings:\n"
+        "                print(f\"warning: {warning}\", file=sys.stderr)\n",
+        CLI_TESTS,
+    ),
+    # JSON lines built from tokens, in json.dumps's separators and literals
+    Mutant(
+        "_array: items are separated by a bare comma",
+        "cli.py",
+        "{', '.join(items)}",
+        "{','.join(items)}",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "recover --format json: a rejection's trace follows its reason without a separator",
+        "cli.py",
+        """trace = "" if outcome.trace is None else ', "trace": ' + _array(""",
+        """trace = "" if outcome.trace is None else ' "trace": ' + _array(""",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "recover --ambient --format json: the fit's literals are swapped",
+        "cli.py",
+        'ok = "true" if fits(outcome) else "false"',
+        'ok = "false" if fits(outcome) else "true"',
         CLI_TESTS,
     ),
     # an argument's error goes up to main, a stdin line's takes that line's place
@@ -340,8 +362,8 @@ MUTANTS = [
     Mutant(
         "recover --verbose: the text trace's residual has a space after each comma",
         "cli.py",
-        '",".join(map(str, step.residual))',
-        '", ".join(map(str, step.residual))',
+        '",".join(map(int_text, step.residual))',
+        '", ".join(map(int_text, step.residual))',
         CLI_TESTS,
     ),
     Mutant(
@@ -817,8 +839,8 @@ MUTANTS = [
     Mutant(
         "format_polynomial: the separators' signs are swapped",
         "polynomial.py",
-        '" - " if c < 0 else " + "',
-        '" + " if c < 0 else " - "',
+        '" - " if negative else " + "',
+        '" + " if negative else " - "',
         ("tests/test_polynomial.py",),
     ),
     # the integer form of Polynomial
@@ -883,8 +905,51 @@ MUTANTS = [
     Mutant(
         "Polynomial.__repr__: shows each coefficient's repr, Fraction(1, 2), not 1/2",
         "polynomial.py",
-        "[str(c) for c in self.coeffs]",
-        "[repr(c) for c in self.coeffs]",
+        "{coefficient_texts(self)!r}",
+        "{list(self.coeffs)!r}",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "Polynomial.__reduce_ex__: pickle protocol 1 writes the integer form as decimal text",
+        "polynomial.py",
+        "if protocol < 2:",
+        "if protocol < 1:",
+        ("tests/test_polynomial.py",),
+    ),
+    # int_text, the one int-to-decimal route of every renderer
+    Mutant(
+        "int_text: the decimal route drops the sign",
+        "polynomial.py",
+        'return "-" + _decimal_digits(-n) if n < 0',
+        "return _decimal_digits(-n) if n < 0",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "_decimal_digits: the low half keeps one bit of the high half",
+        "polynomial.py",
+        "lo = n - (hi << w2)",
+        "lo = n - (hi << w2 + 1)",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "int_text: str takes 2 127 bits, which can be 641 digits",
+        "polynomial.py",
+        "_STR_BITS = 2126",
+        "_STR_BITS = 2127",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "int_text: str takes up to 4 200 digits, past the least digit limit CPython allows",
+        "polynomial.py",
+        "_STR_BITS = 2126",
+        "_STR_BITS = 13_950",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "coefficient_texts: a coefficient is not reduced to lowest terms",
+        "polynomial.py",
+        "g = math.gcd(n, scale)",
+        "g = 1 if n else scale",
         ("tests/test_polynomial.py",),
     ),
     Mutant(

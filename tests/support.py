@@ -1,12 +1,15 @@
 """Shared test fixtures: partition enumeration, a provably non-Hilbert
 polynomial corpus, reference engines and parser, the recover JSON schema,
-an in-process CLI runner and the contract of the package's records.
+reference JSON lines, an in-process CLI runner and the contract of the
+package's records.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
+import json
 import math
 import pickle
 import sys
@@ -50,9 +53,19 @@ def past_digit_limit(digits: int) -> str:
     return f"{digits}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
 
 
-def output_past_digit_limit() -> str:
-    """The message for an answer with a number too long for the interpreter's limit to print."""
-    return f"a number in the output is past Python's {sys.get_int_max_str_digits()}-digit limit"
+@contextlib.contextmanager
+def digit_limit(digits: int):
+    """Set the interpreter's int-to-str digit limit to ``digits`` (0: none)
+    inside the block only; a no-op where the interpreter has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def assert_record_contract(record, fields: dict, text: str, other=None) -> None:
@@ -308,6 +321,24 @@ def two_chain_peel(a: list[int], v: int, start: int, end: int) -> list[int]:
     return chain
 
 
+def fraction_format(p: Polynomial) -> str:
+    """Reference for ``format_polynomial``: the loop it replaced, which
+    writes each ``Fraction`` coefficient with ``str``."""
+    coeffs, out = p.coeffs, ""
+    for power in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[power]
+        if c == 0:
+            continue
+        if not out:
+            out = "-" if c < 0 else ""
+        else:
+            out += " - " if c < 0 else " + "
+        magnitude = abs(c)
+        x = "x" if power == 1 else f"x^{power}"
+        out += str(magnitude) if power == 0 else x if magnitude == 1 else f"{magnitude}*{x}"
+    return out or "0"
+
+
 def fraction_horner(p: Polynomial, x: Fraction) -> Fraction:
     """Reference for ``Polynomial.evaluate``: Horner's rule on the
     ``Fraction`` coefficients."""
@@ -410,6 +441,52 @@ RECOVER_SCHEMA = {
         },
     },
 }
+
+
+# References for the CLI's JSON lines: the dicts that json.dumps rendered
+# before the lines were built from tokens; only under a raised digit limit
+# do they render numbers past it.
+
+
+def lambda_keys_reference(form: ExponentForm, warnings: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    total_parts = sum(mult for _, mult in form.pairs)
+    flat = form.parts if total_parts <= 100_000 else None
+    if flat is None:
+        warnings += (f"partition has {total_parts} parts; lambda_flat suppressed, see lambda_exp",)
+    lam = {"lambda_flat": flat, "lambda_exp": [[value, mult] for value, mult in form.pairs]}
+    return lam, {"warnings": list(warnings)} if warnings else {}
+
+
+def recover_json_reference(text: str, outcome: Outcome, ambient: int | None = None) -> str:
+    """``recover --format json``'s line for ``outcome``, decided from ``text``."""
+    trace = {} if outcome.trace is None else {"trace": [dict(zip("mrse", step)) for step in outcome.trace]}
+    if isinstance(outcome, Success):
+        lam, warnings = lambda_keys_reference(outcome.form, outcome.warnings)
+        pairs = outcome.form.pairs
+        fit = {} if ambient is None else {"ambient": {"n": ambient, "ok": not pairs or pairs[0][0] <= ambient}}
+        payload = {"input": text, "hilbert": True, **lam, "reason": None, **warnings, **fit, **trace}
+    else:
+        reason = outcome.reason.describe()
+        payload = {"input": text, "hilbert": False, "lambda_flat": [], "lambda_exp": [], "reason": reason, **trace}
+    return json.dumps(payload)
+
+
+def error_json_reference(text: str, message: str) -> str:
+    """A batch line's error line in JSON."""
+    return json.dumps({"input": text, "error": message})
+
+
+def build_json_reference(text: str, form: ExponentForm, p: Polynomial) -> str:
+    """``build --format json``'s line for the partition ``form`` read from ``text``, whose polynomial is ``p``."""
+    lam, warnings = lambda_keys_reference(form)
+    coeffs = [str(c) for c in p.coeffs]
+    return json.dumps({"input": text, **lam, "polynomial": fraction_format(p), "coeffs": coeffs, **warnings})
+
+
+def random_json_reference(form: ExponentForm, p: Polynomial) -> str:
+    """``random --format json``'s line for the drawn ``form``, whose polynomial is ``p``."""
+    lam, warnings = lambda_keys_reference(form)
+    return json.dumps({**lam, "polynomial": fraction_format(p), **warnings})
 
 
 def run_cli(monkeypatch, capsys, argv: list[str], stdin_text: str | None = None):

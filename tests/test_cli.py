@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import signal
@@ -17,11 +18,23 @@ from hilbert_lambda.partition import (
     ExponentForm,
     build_hilbert,
     format_exponent_form,
+    parse_partition,
     random_partition,
 )
-from hilbert_lambda.polynomial import format_polynomial
+from hilbert_lambda.polynomial import format_polynomial, parse_polynomial
 from hilbert_lambda.recovery import recover_delta
-from support import RECOVER_SCHEMA, needs_digit_limit, output_past_digit_limit, past_digit_limit, run_cli
+from support import (
+    RECOVER_SCHEMA,
+    build_json_reference,
+    digit_limit,
+    error_json_reference,
+    fraction_format,
+    needs_digit_limit,
+    past_digit_limit,
+    random_json_reference,
+    recover_json_reference,
+    run_cli,
+)
 
 validator = Draft202012Validator(RECOVER_SCHEMA)
 
@@ -89,7 +102,8 @@ def test_recover_text_huge_partition_stays_compact(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["recover", "2*x^3 + 3"])
     assert code == 0
     assert out == "λ = (4^12,3^42,2^1159,1^709559)\n"
-    # x^9's multiplicities take their chains' squared steps, still under the digit limit
+    # x^9's multiplicities take their chains' squared steps, and its largest
+    # two, of 4 474 and 8 946 bits, print through int_text's decimal route
     code, out, err = run_cli(monkeypatch, capsys, ["recover", "x^9"])
     assert (code, err) == (0, "")
     data = out.encode("utf-8")
@@ -225,24 +239,23 @@ def test_batch_parse_error_line_json(monkeypatch, capsys):
 
 @needs_digit_limit
 def test_batch_keeps_deciding_after_a_crashing_line(monkeypatch, capsys):
-    code, out, _ = run_cli(
-        monkeypatch, capsys, ["recover", "--format", "json"], stdin_text="3*x+1\nx^10\nx\n"
-    )
+    # a constant past the digit limit fails its line; x^10's answer, past it too, prints
+    lines = ["3*x+1", "7" * 5000, "x^10", "x"]
+    code, out, _ = run_cli(monkeypatch, capsys, ["recover", "--format", "json"], stdin_text="\n".join(lines) + "\n")
     assert code == 2
-    docs = [json.loads(line) for line in out.splitlines()]
-    assert [doc["input"] for doc in docs] == ["3*x+1", "x^10", "x"]
-    assert (docs[0]["hilbert"], docs[2]["hilbert"]) == (True, False)
-    assert docs[1] == {"input": "x^10", "error": output_past_digit_limit()}
+    with digit_limit(0):
+        docs = [json.loads(line) for line in out.splitlines()]
+    assert [doc["input"] for doc in docs] == lines
+    assert (docs[0]["hilbert"], docs[2]["hilbert"], docs[3]["hilbert"]) == (True, True, False)
+    assert docs[1] == {"input": lines[1], "error": f"{past_digit_limit(5000)} at column 0"}
+    assert docs[2]["lambda_exp"] == [list(pair) for pair in recover_delta(parse_polynomial("x^10")).form.pairs]
 
 
 @needs_digit_limit
 def test_single_argument_crash_exits_2_without_traceback(monkeypatch, capsys):
-    code, out, err = run_cli(monkeypatch, capsys, ["recover", "x^10"])
+    code, out, err = run_cli(monkeypatch, capsys, ["check", "7" * 5000])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
-    code, _, err = run_cli(monkeypatch, capsys, ["check", "7" * 5000])
-    assert code == 2
-    assert err.startswith("error: ")
 
 
 def test_check_single_is_quiet(monkeypatch, capsys):
@@ -386,6 +399,50 @@ def test_json_lines_keep_their_key_order(monkeypatch, capsys, argv, stdin, code,
     assert run_cli(monkeypatch, capsys, argv, stdin_text=stdin) == (code, line + "\n", "")
 
 
+# non-ASCII input, both decided and refused, a zero polynomial's warning, a
+# suppressed lambda_flat, x^9's multiplicities past int_text's cutoff, and
+# error lines of a syntax error and of a number past the digit limit
+EXTRA_LINES = ["３*x + １", "x + ٣", "x^2 + ä", "é", "0", "x/2", "9*x^5", "x^9", "x +", "1/0", "7" * 5000]
+
+
+@pytest.mark.parametrize("options", [[], ["--verbose"], ["--ambient", "3"], ["--verbose", "--ambient", "5"]])
+def test_recover_json_lines_are_what_json_dumps_wrote(monkeypatch, capsys, partitions_923, rejection_200, options):
+    texts = [format_polynomial(build_hilbert(lam)) for lam in partitions_923]
+    texts += [format_polynomial(p) for p in rejection_200] + EXTRA_LINES
+    argv = ["recover", "--format", "json", *options]
+    code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text="\n".join(texts) + "\n")
+    ambient = int(options[-1]) if "--ambient" in options else None
+    expected = []
+    for text in texts:
+        try:
+            outcome = recover_delta(parse_polynomial(text), want_trace="--verbose" in options)
+        except Exception as exc:
+            expected.append(error_json_reference(text, str(exc)))
+        else:
+            expected.append(recover_json_reference(text, outcome, ambient))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "partition",
+    ["()", "(3)", "(2^3,1)", "[6,6,5,4,1,1,1]", f"(1^{100_000})", f"(1^{100_001})", "(3^1000000000000,2,1^5)"],
+)
+def test_build_json_line_is_what_json_dumps_wrote(monkeypatch, capsys, partition):
+    form = parse_partition(partition)
+    expected = build_json_reference(partition, form, build_hilbert(form))
+    assert run_cli(monkeypatch, capsys, ["build", partition, "--format", "json"]) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("max_part, max_len", [(6, 6), (2, 2), (1, 1), (2, 10**12), (30, 30)])
+def test_random_json_line_is_what_json_dumps_wrote(monkeypatch, capsys, max_part, max_len):
+    for seed in range(3):
+        form = random_partition(max_part, max_len, random.Random(seed))
+        expected = random_json_reference(form, build_hilbert(form))
+        argv = ["random", str(max_part), str(max_len), "--seed", str(seed), "--format", "json"]
+        assert run_cli(monkeypatch, capsys, argv) == (0, expected + "\n", "")
+
+
 def test_flat_parts_limit_is_inclusive(monkeypatch, capsys):
     limit = cli.FLAT_PARTS_LIMIT
     code, out, _ = run_cli(monkeypatch, capsys, ["build", f"(1^{limit})", "--format", "json"])
@@ -504,7 +561,35 @@ def test_numbers_past_the_digit_limit_say_so(monkeypatch, capsys, argv, where):
         assert err.splitlines()[2] == "    ^"
 
 
-@needs_digit_limit
+def test_rejection_past_the_digit_limit_prints(monkeypatch, capsys):
+    # the leading multiplicity is 20! times the coefficient: 4 318 digits
+    coefficient = 10**4299 - 1
+    with digit_limit(0):
+        text, value = f"-{coefficient}*x^20", str(-math.factorial(20) * coefficient)
+    code, out, err = run_cli(monkeypatch, capsys, ["recover"], stdin_text=text + "\n")
+    reason = f"negative leading multiplicity ({value} at degree 20 residual)"
+    assert (code, out, err) == (1, f"not a Hilbert polynomial: {reason}\n", "")
+
+
+def _reference_output(argv: list[str]) -> tuple[str, str]:
+    """(stdout, stderr) of ``recover`` or ``build`` on one argument, written
+    with ``str`` and ``json.dumps``; only under a raised digit limit for an
+    answer past it."""
+    if argv[0] == "build":
+        form = parse_partition(argv[1])
+        p = build_hilbert(form)
+        return (build_json_reference(argv[1], form, p) if "json" in argv else fraction_format(p)) + "\n", ""
+    outcome = recover_delta(parse_polynomial(argv[1]), want_trace="--verbose" in argv)
+    if "json" in argv:
+        return recover_json_reference(argv[1], outcome) + "\n", ""
+    runs = ",".join(f"{value}^{mult}" if mult > 1 else str(value) for value, mult in outcome.form.pairs)
+    trace = "".join(
+        f"trace: m={step.m} r={step.r} s={step.s} e={step.e} residual=({','.join(map(str, step.residual))})\n"
+        for step in outcome.trace or ()
+    )
+    return f"λ = ({runs})\n", trace
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -516,11 +601,42 @@ def test_numbers_past_the_digit_limit_say_so(monkeypatch, capsys, argv, where):
     ],
 )
 def test_answers_past_the_digit_limit_say_so(monkeypatch, capsys, argv):
-    # x^10's multiplicities and the cube of a 2200-digit multiplicity print past the limit
-    limit = sys.get_int_max_str_digits()
+    # x^10's multiplicities and the cube of a 2200-digit multiplicity are past
+    # the default digit limit, and print whole under it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     code, out, err = run_cli(monkeypatch, capsys, argv)
-    assert (code, out, err) == (2, "", f"error: {output_past_digit_limit()}\n")
-    assert sys.get_int_max_str_digits() == limit
+    with digit_limit(0):
+        assert (code, out, err) == (0, *_reference_output(argv))
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert len(out) > 4300
+
+
+@pytest.mark.parametrize("argv", [["recover", "x^10"], ["recover", "x^10", "--format", "json"]])
+def test_answers_print_whatever_the_digit_limit(argv):
+    # the least limit CPython allows, the default and none: the same bytes
+    src = Path(cli.__file__).resolve().parents[1]
+    runs = []
+    for limit in (None, "640", "0"):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run([sys.executable, "-m", "hilbert_lambda", *argv], env=env, capture_output=True)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    with digit_limit(0):
+        out, err = _reference_output(argv)
+    assert runs == [(0, out.encode(), err.encode())] * 3
+
+
+def test_astronomical_answer_validates(monkeypatch, capsys):
+    # x^14's largest multiplicity has 174 316 digits
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "--format", "json", "x^14"])
+    assert (code, err) == (0, "")
+    with digit_limit(0):
+        doc = json.loads(out)
+        validator.validate(doc)
+    assert doc["lambda_exp"] == [list(pair) for pair in recover_delta(parse_polynomial("x^14")).form.pairs]
+    assert doc["lambda_flat"] is None and max(mult for _, mult in doc["lambda_exp"]).bit_length() == 579_065
 
 
 @pytest.mark.parametrize(

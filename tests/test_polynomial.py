@@ -15,15 +15,25 @@ from hilbert_lambda.polynomial import (
     DenominatorZeroError,
     Polynomial,
     PolynomialSyntaxError,
+    coefficient_texts,
     format_polynomial,
     from_newton,
+    int_text,
     newton_coeffs,
     parse_polynomial,
     sample_points,
 )
 from hilbert_lambda import ExponentForm, build_hilbert
 from hilbert_lambda.calculus import delta, is_integer_sequence
-from support import cursor_parse, fraction_horner, needs_digit_limit, newton_horner_reference, past_digit_limit
+from support import (
+    cursor_parse,
+    digit_limit,
+    fraction_format,
+    fraction_horner,
+    needs_digit_limit,
+    newton_horner_reference,
+    past_digit_limit,
+)
 
 BIG = "1" * 5000  # past the default int-to-str digit limit
 
@@ -58,17 +68,24 @@ def test_equality_and_hash_on_canonical_form():
 
 def test_pickles_and_copies_keep_the_canonical_form():
     # every protocol, and copies, rebuild through from_integers; numbers past
-    # the int-to-str digit limit only at protocols 2-5, as 0 and 1 write decimal text
+    # the int-to-str digit limit too, as protocols 0 and 1 write them in hex
     small = [Polynomial([]), Polynomial([Fraction(1, 2), 3])]
     huge = build_hilbert(ExponentForm(((2, 10**5000),)))
     assert max(map(abs, huge.numerators)).bit_length() > 16_000
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        for p in small + [huge] * (protocol >= 2):
+        for p in small + [huge]:
             q = pickle.loads(pickle.dumps(p, protocol))
             assert type(q) is Polynomial and q == p, protocol
     for p in small + [huge]:
         for q in (copy.copy(p), copy.deepcopy(p)):
             assert type(q) is Polynomial and q == p
+        # repr writes numbers of any size; reading 5 000 digits back needs a higher limit
+        text = repr(p)
+        with digit_limit(0):
+            assert eval(text, {"Polynomial": Polynomial}) == p
+    r = 10**5000  # the sum over i <= r of x + 2 - i
+    with digit_limit(0):
+        assert repr(huge) == f"Polynomial({[str(2 * r - r * (r + 1) // 2), str(r)]!r})"
 
 
 def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
@@ -85,6 +102,43 @@ def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
         pairs += [(0, rng.randint(1, 5))] * rng.choice([0, 0, 1, 3])
         lists.append(pairs)
     return lists
+
+
+def _seeded_ints(seed: int) -> list[int]:
+    """Zero, the largest ints of 2 126 and 2 127 bits and, for each bit length
+    round int_text's cutoff and past 1 Mbit, a seeded int of exactly that
+    length, all of each sign."""
+    rng = random.Random(seed)
+    ints = [0, 2**2126 - 1, -(2**2126 - 1), 2**2127 - 1, -(2**2127 - 1)]
+    for bits in (1, 64, 128, 129, 1000, 2125, 2126, 2127, 2200, 14_000, 100_001, 2**20 + 1):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        ints += [n, -n]
+    return ints
+
+
+def test_int_text_agrees_with_str():
+    ints = _seeded_ints(20261020)
+    with digit_limit(0):
+        digits = {n: str(n) for n in ints if n >= 0}
+    expected = [digits[n] if n >= 0 else "-" + digits[-n] for n in ints]
+    # int_text calls str only where even the least limit CPython allows, 640
+    # digits, cannot refuse it: up to 2 126 bits, as 2 127 bits can give 641 digits
+    assert (len(str(2**2126 - 1)), len(str(2**2127 - 1))) == (640, 641)
+    assert [int_text(n) for n in ints] == expected
+    with digit_limit(640):
+        assert [int_text(n) for n in ints] == expected
+
+
+def test_coefficient_texts_and_format_agree_with_fractions():
+    for pairs in _coefficient_lists(17, 300):
+        p = Polynomial(Fraction(n, d) for n, d in pairs)
+        assert coefficient_texts(p) == [str(c) for c in p.coeffs]
+        assert format_polynomial(p) == fraction_format(p)
+    huge = build_hilbert(ExponentForm(((3, 10**2200), (1, 1))))
+    texts, text = coefficient_texts(huge), format_polynomial(huge)
+    with digit_limit(0):
+        assert texts == [str(c) for c in huge.coeffs] and text == fraction_format(huge)
+        assert parse_polynomial(text) == huge
 
 
 def test_integer_form_is_canonical():
