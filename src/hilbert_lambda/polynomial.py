@@ -1,7 +1,8 @@
 """Exact-rational univariate polynomials: parsing, evaluation, sampling, formatting.
 
-Accepted text grammar (whitespace insignificant, leading sign allowed on
-the first term):
+Accepted text grammar (a leading sign is allowed on the first term;
+whitespace may stand between tokens, but it splits a number, so "1 2" is
+an error at column 2, as "x 2" is):
 
     poly   := term (("+"|"-") term)*
     term   := (coeff ("*"? var)? | var) ("/" uint)?
@@ -36,7 +37,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .calculus import Rational, Sequence
 
@@ -124,7 +125,10 @@ class Polynomial:
         return self.__reduce__()
 
     def __repr__(self) -> str:
-        return f"Polynomial({coefficient_texts(self)!r})"
+        if max(map(int.bit_length, (self.scale, *self.numerators))) <= _STR_BITS:
+            return f"Polynomial({coefficient_texts(self)!r})"
+        ns = ", ".join(map(hex, self.numerators)) + "," * (len(self.numerators) == 1)  # hex has no digit limit
+        return f"Polynomial.from_integers({self.scale:#x}, ({ns}))"
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -295,55 +299,61 @@ def parse_polynomial(text: str) -> Polynomial:
     denominator.
     """
     powers: dict[int, tuple[int, int]] = {}  # power -> (numerator, denominator)
-    pos = 0
-    while True:
-        m = _TERM.match(text, pos)
-        sign, neg, digits, den, star, x, exp, div = m.group(
-            "sign", "neg", "int", "den", "star", "x", "exp", "div"
-        )
-        if pos and sign is None:  # every term but the first needs its sign
-            raise PolynomialSyntaxError(f"expected '+' or '-', found {text[pos]!r}", pos)
-        if not (neg or digits or x and not star):  # a term starts with '-', a digit or 'x'
-            at = m.start("term")
-            if at == len(text):
-                raise PolynomialSyntaxError("expected a term", at)
-            raise PolynomialSyntaxError(f"expected a term, found {text[at]!r}", at)
-        if neg and not digits:
-            raise PolynomialSyntaxError("expected digits", m.end("neg"))
-        numerator = _uint(m, "int") if digits else 1
-        if (sign == "-") != (neg is not None):  # one minus sign, not two
-            numerator = -numerator
-        denominator = 1 if den is None else _denominator(m, "den")
-        if star and not x:
-            raise PolynomialSyntaxError("expected 'x'", m.end("star"))
-        power = 0 if x is None else 1 if exp is None else _uint(m, "exp")
-        if power >= sys.maxsize:  # the coefficient list has max(powers) + 1 entries
-            raise PolynomialSyntaxError(f"exponent is too large (must be below {sys.maxsize})", m.start("exp"))
-        if div is not None:
-            denominator *= _denominator(m, "div")
-        total, common = powers.get(power, (0, 1))
-        powers[power] = (total * denominator + numerator * common, common * denominator)
-        pos = m.end()
-        if pos == len(text):
-            break
-    scale = math.lcm(*(common for _, common in powers.values()))
+    match, pos, end = _TERM.match, 0, len(text)
+    try:
+        while True:
+            m = match(text, pos)
+            sign, _, neg, digits, den, star, x, exp, div = m.groups()
+            if sign is None and pos:  # every term but the first needs its sign
+                raise PolynomialSyntaxError(f"expected '+' or '-', found {text[pos]!r}", pos)
+            if digits:  # the coefficient: digits, a bare 'x' or no term at all
+                numerator = int(digits)
+                if (sign == "-") != (neg is not None):  # one minus sign, not two
+                    numerator = -numerator
+            elif neg:
+                raise PolynomialSyntaxError("expected digits", m.end("neg"))
+            elif x and not star:
+                numerator = -1 if sign == "-" else 1
+            else:
+                at = m.start("term")
+                raise PolynomialSyntaxError(f"expected a term, found {text[at]!r}" if at < end else "expected a term", at)
+            denominator = 1 if den is None else den and int(den) or _no_number(m, "den")
+            if star and not x:
+                raise PolynomialSyntaxError("expected 'x'", m.end("star"))
+            power = int(exp) if exp else 0 if x is None else 1 if exp is None else _no_number(m, "exp")
+            if power >= sys.maxsize:  # the coefficient list has max(powers) + 1 entries
+                raise PolynomialSyntaxError(f"exponent is too large (must be below {sys.maxsize})", m.start("exp"))
+            if div is not None:
+                denominator *= div and int(div) or _no_number(m, "div")
+            if power in powers:  # a repeated power: sum the two fractions
+                total, common = powers[power]
+                numerator, denominator = total * denominator + numerator * common, common * denominator
+            powers[power] = numerator, denominator
+            pos = m.end()
+            if pos == end:
+                break
+    except PolynomialSyntaxError:
+        raise
+    except ValueError as error:  # from int(), on digits past the int-to-str digit limit
+        raise (_past_the_limit(m) or error) from None
+    scale = math.lcm(*[common for _, common in powers.values()])
     numerators = [0] * (max(powers) + 1)
     for power, (total, common) in powers.items():
         numerators[power] = total * (scale // common)
     return Polynomial.from_integers(scale, numerators)
 
 
-def _uint(m: re.Match, group: str) -> int:
-    if not m[group]:
-        raise PolynomialSyntaxError("expected digits", m.start(group))
-    try:
-        return int(m[group])
-    except ValueError:
-        raise PolynomialSyntaxError(digit_limit_text(m[group]), m.start(group)) from None
-
-
-def _denominator(m: re.Match, group: str) -> int:
-    value = _uint(m, group)
-    if value == 0:
+def _no_number(m: re.Match, group: str) -> NoReturn:
+    if m[group]:
         raise DenominatorZeroError("denominator is zero", m.start(group))
-    return value
+    raise PolynomialSyntaxError("expected digits", m.start(group))
+
+
+def _past_the_limit(m: re.Match) -> PolynomialSyntaxError | None:
+    """The error for the term's first digit group, in parse order, that int() refuses."""
+    for group in ("int", "den", "exp", "div"):
+        try:
+            int(m[group] or 0)
+        except ValueError:
+            return PolynomialSyntaxError(digit_limit_text(m[group]), m.start(group))
+    return None

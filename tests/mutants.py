@@ -681,10 +681,38 @@ MUTANTS = [
     ),
     # numbers past the int-to-str digit limit
     Mutant(
-        "_uint: a polynomial literal past the digit limit loses its column",
+        "parse_polynomial: a polynomial literal past the digit limit loses its column",
         "polynomial.py",
-        "raise PolynomialSyntaxError(digit_limit_text(m[group]), m.start(group)) from None",
+        "raise (_past_the_limit(m) or error) from None",
         "raise",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "_past_the_limit: a number past the digit limit is reported at its term's start",
+        "polynomial.py",
+        "digit_limit_text(m[group]), m.start(group)",
+        'digit_limit_text(m[group]), m.start("term")',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "_past_the_limit: the groups are searched from the last, not in reading order",
+        "polynomial.py",
+        '("int", "den", "exp", "div")',
+        '("div", "exp", "den", "int")',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "_past_the_limit: lifts the caller's digit limit to read the group",
+        "polynomial.py",
+        "int(m[group] or 0)",
+        "sys.set_int_max_str_digits(0) or int(m[group] or 0)",
+        ("tests/test_package.py",),
+    ),
+    Mutant(
+        "parse_polynomial: a syntax error is taken for int() refusing a number in its term",
+        "polynomial.py",
+        "    except PolynomialSyntaxError:\n        raise\n",
+        "",
         ("tests/test_polynomial.py",),
     ),
     # powers and parts that no list can be sized by
@@ -977,22 +1005,54 @@ MUTANTS = [
     Mutant(
         "parse_polynomial: a trailing divisor replaces the coefficient's denominator",
         "polynomial.py",
-        'denominator *= _denominator(m, "div")',
-        'denominator = _denominator(m, "div")',
+        "denominator *= div and int(div)",
+        "denominator = div and int(div)",
         ("tests/test_polynomial.py",),
     ),
     Mutant(
         "parse_polynomial: the first term also needs a sign",
         "polynomial.py",
-        "if pos and sign is None:",
+        "if sign is None and pos:",
         "if sign is None:",
         ("tests/test_polynomial.py",),
     ),
     Mutant(
         "parse_polynomial: a missing last term reads past the end of the text",
         "polynomial.py",
-        "if at == len(text):",
+        'if at < end else "expected a term"',
+        'if True else "expected a term"',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "parse_polynomial: the denominator is read after the '*' check",
+        "polynomial.py",
+        '            denominator = 1 if den is None else den and int(den) or _no_number(m, "den")\n'
+        "            if star and not x:\n"
+        "                raise PolynomialSyntaxError(\"expected 'x'\", m.end(\"star\"))\n",
+        "            if star and not x:\n"
+        "                raise PolynomialSyntaxError(\"expected 'x'\", m.end(\"star\"))\n"
+        '            denominator = 1 if den is None else den and int(den) or _no_number(m, "den")\n',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "parse_polynomial: a repeated power overwrites the term before it",
+        "polynomial.py",
+        "if power in powers:",
         "if False:",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "parse_polynomial: a bare 'x' ignores its term's minus sign",
+        "polynomial.py",
+        'numerator = -1 if sign == "-" else 1',
+        "numerator = 1",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "_no_number: an empty denominator reads as zero, and a zero one as no digits",
+        "polynomial.py",
+        "    if m[group]:\n        raise DenominatorZeroError",
+        "    if not m[group]:\n        raise DenominatorZeroError",
         ("tests/test_polynomial.py",),
     ),
     # each public name in one module's __all__, gathered by the package

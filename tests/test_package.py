@@ -103,6 +103,15 @@ def test_readme_library_example_prints_its_comments(capsys):
         assert line.startswith(comment[:-5]) if comment.endswith("(...)") else line == comment, (line, comment)
 
 
+def test_no_module_sets_the_digit_limit():
+    # the int-to-str digit limit is the caller's setting: the package writes
+    # past it through int_text and reports int()'s own refusal of digits
+    sources = sorted(Path(hilbert_lambda.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    for source in sources:
+        assert "set_int_max_str_digits" not in source.read_text(encoding="utf-8"), source.name
+
+
 def test_benchmark_tracer_wraps_and_restores_package_names(monkeypatch):
     # perfbench/worker.py wraps module attributes by name, so a name it wraps
     # must stay in the package; its modules are imported for this test only

@@ -79,13 +79,10 @@ def test_pickles_and_copies_keep_the_canonical_form():
     for p in small + [huge]:
         for q in (copy.copy(p), copy.deepcopy(p)):
             assert type(q) is Polynomial and q == p
-        # repr writes numbers of any size; reading 5 000 digits back needs a higher limit
-        text = repr(p)
-        with digit_limit(0):
-            assert eval(text, {"Polynomial": Polynomial}) == p
-    r = 10**5000  # the sum over i <= r of x + 2 - i
-    with digit_limit(0):
-        assert repr(huge) == f"Polynomial({[str(2 * r - r * (r + 1) // 2), str(r)]!r})"
+        # repr writes numbers of any size, and eval reads them back under the digit limit
+        assert eval(repr(p), {"Polynomial": Polynomial}) == p
+    r = 10**5000  # the sum over i <= r of x + 2 - i; past _STR_BITS bits repr writes hex
+    assert repr(huge) == f"Polynomial.from_integers(0x1, ({hex(2 * r - r * (r + 1) // 2)}, {hex(r)}))"
 
 
 def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
@@ -297,6 +294,7 @@ def test_format_polynomial(coeffs, text):
         ("x^2/2 + x/2 - 1", [-1, Fraction(1, 2), Fraction(1, 2)]),
         ("x^3 - x", [0, -1, 0, 1]),
         ("5/10", [Fraction(1, 2)]),
+        ("x/2 + x/3", [0, Fraction(5, 6)]),
     ],
 )
 def test_parse_polynomial(text, coeffs):
@@ -329,6 +327,8 @@ def test_parse_equivalent_spellings():
         ("2 - -x", 5),
         ("x^²", 2),  # a digit that int() rejects is no digit
         ("3²", 1),
+        ("1 2", 2),
+        ("1/*7", 2),
     ],
 )
 def test_parse_errors_carry_position(text, position):
@@ -340,12 +340,32 @@ def test_parse_errors_carry_position(text, position):
 
 @needs_digit_limit
 @pytest.mark.parametrize(
-    "text, position", [("x^" + BIG, 2), ("3*x + " + BIG, 6), ("-" + BIG, 1), ("1/" + BIG, 2), ("x/" + BIG, 2)]
+    "text, position",
+    [
+        ("x^" + BIG, 2),
+        ("3*x + " + BIG, 6),
+        ("-" + BIG, 1),
+        ("1/" + BIG, 2),
+        ("x/" + BIG, 2),
+        # the first of two such numbers, in reading order
+        (BIG + "/" + BIG, 0),
+        ("x^" + BIG + "/" + BIG, 2),
+    ],
 )
 def test_numbers_past_the_digit_limit_carry_position(text, position):
     with pytest.raises(PolynomialSyntaxError) as info:
         parse_polynomial(text)
     assert (info.value.message, info.value.position) == (past_digit_limit(5000), position)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "text, message, position", [("x " + BIG, "expected '+' or '-', found '1'", 2), ("3*/" + BIG, "expected 'x'", 2)]
+)
+def test_an_error_before_a_number_past_the_digit_limit_wins(text, message, position):
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(text)
+    assert (info.value.message, info.value.position) == (message, position)
 
 
 @pytest.mark.parametrize("text", ["1/0", "x/0", "1/2*x/0", "3/0*x", "x/ 0"])
