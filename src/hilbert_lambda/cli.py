@@ -32,19 +32,17 @@ from .partition import ExponentForm, build_hilbert, format_exponent_form, parse_
 from .polynomial import (
     PolynomialSyntaxError,
     coefficient_texts,
-    digit_limit_text,
     format_polynomial,
     int_text,
     parse_polynomial,
+    read_int,
 )
 from .recovery import Outcome, Success, recover_delta
 
 
 def _digits(text: str) -> int | None:
-    try:  # decimal digits only, as in partition text: int() also reads "1_0", "+3" and "-1"
-        return int(text) if text.isdecimal() else None
-    except ValueError:  # past the int-to-str digit limit
-        raise argparse.ArgumentTypeError(digit_limit_text(text)) from None
+    # decimal digits only, as in partition text: int() also reads "1_0", "+3" and "-1"
+    return read_int(text, argparse.ArgumentTypeError) if text.isdecimal() else None
 
 
 def _positive_int(text: str) -> int:

@@ -51,7 +51,7 @@ import sys
 from typing import Iterator
 
 from .calculus import block_value, peel_block
-from .polynomial import Polynomial, digit_limit_text, from_newton, int_text
+from .polynomial import Polynomial, from_newton, int_literal, int_text, read_int
 
 
 class NonPositivePartError(ValueError):
@@ -75,10 +75,10 @@ class ExponentForm:
 
     Compared and hashed by its runs, and false only when empty.  ``repr``,
     pickles and copies read the runs too, and unpickling or copying passes
-    them through the check again; ``repr`` and pickle protocols 0 and 1
-    write a number past CPython's int-to-str digit limit in hex, which has
-    no limit.  ``parts`` is the one expansion;
-    ``len()`` is the part count and raises ``OverflowError`` past
+    them through the check again.  ``repr`` writes a number past 2 126 bits in
+    hex (``int_literal``), which ``eval`` reads under any int-to-str digit limit,
+    and pickle protocols 0 and 1 write the runs in hex.  ``parts`` is the one
+    expansion; ``len()`` is the part count and raises ``OverflowError`` past
     ``sys.maxsize`` parts.  A record is not iterable: read ``pairs`` or ``parts``.
     """
 
@@ -122,7 +122,7 @@ class ExponentForm:
         return bool(self._pairs)  # not len(), which can overflow
 
     def __repr__(self) -> str:
-        runs = [f"({_literal(value)}, {_literal(multiplicity)})" for value, multiplicity in self._pairs]
+        runs = [f"({int_literal(value)}, {int_literal(multiplicity)})" for value, multiplicity in self._pairs]
         return f"ExponentForm(pairs=({', '.join(runs)}{',' * (len(runs) == 1)}))"
 
     def __reduce__(self) -> tuple:
@@ -137,15 +137,6 @@ class ExponentForm:
 
     def __str__(self) -> str:
         return format_exponent_form(self)
-
-
-def _literal(n: int) -> str:
-    """``repr(n)``, or a hex literal, which ``eval`` reads back with no digit
-    limit, where ``n`` is past CPython's int-to-str digit limit."""
-    try:
-        return repr(n)
-    except ValueError:
-        return hex(n)
 
 
 def _from_hex(pairs: tuple[tuple[str, str], ...]) -> ExponentForm:
@@ -293,10 +284,7 @@ def parse_partition(text: str) -> ExponentForm:
 def _parse_int(text: str) -> int:
     if not _INT.fullmatch(text):  # int() also reads "1_0" and "+3"
         raise PartitionSyntaxError(f"expected an integer, found {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # past the int-to-str digit limit
-        raise PartitionSyntaxError(digit_limit_text(text)) from None
+    return read_int(text, PartitionSyntaxError)
 
 
 _INT = re.compile(r"-?\d+")

@@ -17,8 +17,10 @@ Parsing takes one match of a compiled pattern per term and sums them per
 power as integer fractions; one lcm of their denominators gives the
 integer form of :class:`Polynomial`, and only its ``coeffs`` view builds
 :class:`Fraction` values.  No floating point is involved anywhere.
-:func:`int_text` writes an int of any size in decimal, whatever CPython's
-int-to-str digit limit; the package's renderers all write through it.
+Where an int meets text and CPython's int-to-str digit limit matters, it is
+here: :func:`int_text` writes decimal of any size for every renderer,
+:func:`int_literal` writes each ``repr``'s ints (decimal up to 2 126 bits,
+hex past them) and :func:`read_int` reads digits or names the limit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn
 
 from .calculus import Rational, Sequence
 
@@ -127,8 +129,8 @@ class Polynomial:
     def __repr__(self) -> str:
         if max(map(int.bit_length, (self.scale, *self.numerators))) <= _STR_BITS:
             return f"Polynomial({coefficient_texts(self)!r})"
-        ns = ", ".join(map(hex, self.numerators)) + "," * (len(self.numerators) == 1)  # hex has no digit limit
-        return f"Polynomial.from_integers({self.scale:#x}, ({ns}))"
+        ns = ", ".join(map(int_literal, self.numerators)) + "," * (len(self.numerators) == 1)
+        return f"Polynomial.from_integers({int_literal(self.scale)}, ({ns}))"
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -182,11 +184,6 @@ def from_newton(a: list[int]) -> Polynomial:
     return Polynomial.from_integers(scale, acc)
 
 
-def digit_limit_text(digits: str) -> str:
-    """Why ``int`` refused decimal digits (after an optional "-"): the int-to-str digit limit."""
-    return f"{len(digits.lstrip('-'))}-digit number is past Python's {sys.get_int_max_str_digits()}-digit limit"
-
-
 # the most bits of an int whose decimal text has at most 640 digits, the
 # smallest int-to-str digit limit that CPython lets anything set
 _STR_BITS = 2126
@@ -201,6 +198,21 @@ def int_text(n: int) -> str:
     if n.bit_length() <= _STR_BITS:
         return str(n)
     return "-" + _decimal_digits(-n) if n < 0 else _decimal_digits(n)
+
+
+def int_literal(n: int) -> str:
+    """A literal of ``n`` that ``eval`` reads back under any digit limit:
+    ``str(n)`` up to _STR_BITS bits, and past them ``hex(n)``, which has no limit."""
+    return str(n) if n.bit_length() <= _STR_BITS else hex(n)
+
+
+def read_int(digits: str, error: Callable[[str], Exception]) -> int:
+    """``int(digits)``, or ``error(message)`` raised where int() refuses the digits for the digit limit."""
+    try:
+        return int(digits)
+    except ValueError:  # the caller has checked the digits, "-"? and then decimal digits
+        limit = sys.get_int_max_str_digits()
+        raise error(f"{len(digits.lstrip('-'))}-digit number is past Python's {limit}-digit limit") from None
 
 
 def _decimal_digits(n: int) -> str:
@@ -334,8 +346,9 @@ def parse_polynomial(text: str) -> Polynomial:
                 break
     except PolynomialSyntaxError:
         raise
-    except ValueError as error:  # from int(), on digits past the int-to-str digit limit
-        raise (_past_the_limit(m) or error) from None
+    except ValueError:  # from int(), on digits past the int-to-str digit limit
+        _past_the_limit(m)
+        raise  # reached only if another thread has raised the digit limit since
     scale = math.lcm(*[common for _, common in powers.values()])
     numerators = [0] * (max(powers) + 1)
     for power, (total, common) in powers.items():
@@ -349,11 +362,7 @@ def _no_number(m: re.Match, group: str) -> NoReturn:
     raise PolynomialSyntaxError("expected digits", m.start(group))
 
 
-def _past_the_limit(m: re.Match) -> PolynomialSyntaxError | None:
-    """The error for the term's first digit group, in parse order, that int() refuses."""
+def _past_the_limit(m: re.Match) -> None:
+    """Raise the error, at its column, for the term's first digit group, in parse order, that int() refuses."""
     for group in ("int", "den", "exp", "div"):
-        try:
-            int(m[group] or 0)
-        except ValueError:
-            return PolynomialSyntaxError(digit_limit_text(m[group]), m.start(group))
-    return None
+        read_int(m[group] or "0", lambda message: PolynomialSyntaxError(message, m.start(group)))

@@ -8,7 +8,8 @@ Each mutant replaces one snippet of one source file; the snippet must occur
 exactly once, so a mutant cannot silently stop applying when the code moves.
 The mutant is written into a fresh temporary copy of ``src/``, and the test
 files listed with it run against that copy (``PYTHONPATH`` puts it first)
-under a timeout; a timeout counts as killed.  The unmutated copy must pass
+under a timeout; a timeout counts as killed, and the summary line counts
+the mutants that only the timeout killed.  The unmutated copy must pass
 every listed test file first, and must be the package those tests import.
 Two mutants run at once where two CPUs are free, each worker in its own
 copy of ``src/``; the verdicts print in the order of the list.
@@ -150,8 +151,8 @@ MUTANTS = [
     Mutant(
         "ExponentForm: repr writes a number past the digit limit in decimal",
         "partition.py",
-        "        return hex(n)\n",
-        "        raise\n",
+        'f"({int_literal(value)}, {int_literal(multiplicity)})"',
+        'f"({int_text(value)}, {int_text(multiplicity)})"',
         PARTITION_TESTS,
     ),
     Mutant(
@@ -272,8 +273,8 @@ MUTANTS = [
     Mutant(
         "_digits: int() reads any text, so '1_0' and '+3' pass",
         "cli.py",
-        "return int(text) if text.isdecimal() else None",
-        "return int(text)",
+        "read_int(text, argparse.ArgumentTypeError) if text.isdecimal() else None",
+        "read_int(text, argparse.ArgumentTypeError)",
         CLI_TESTS,
     ),
     # the JSON λ and the stderr side channel
@@ -683,15 +684,15 @@ MUTANTS = [
     Mutant(
         "parse_polynomial: a polynomial literal past the digit limit loses its column",
         "polynomial.py",
-        "raise (_past_the_limit(m) or error) from None",
-        "raise",
+        "        _past_the_limit(m)\n",
+        "",
         ("tests/test_polynomial.py",),
     ),
     Mutant(
         "_past_the_limit: a number past the digit limit is reported at its term's start",
         "polynomial.py",
-        "digit_limit_text(m[group]), m.start(group)",
-        'digit_limit_text(m[group]), m.start("term")',
+        "PolynomialSyntaxError(message, m.start(group))",
+        'PolynomialSyntaxError(message, m.start("term"))',
         ("tests/test_polynomial.py",),
     ),
     Mutant(
@@ -704,9 +705,52 @@ MUTANTS = [
     Mutant(
         "_past_the_limit: lifts the caller's digit limit to read the group",
         "polynomial.py",
-        "int(m[group] or 0)",
-        "sys.set_int_max_str_digits(0) or int(m[group] or 0)",
+        'read_int(m[group] or "0",',
+        'sys.set_int_max_str_digits(0) or read_int(m[group] or "0",',
         ("tests/test_package.py",),
+    ),
+    Mutant(
+        "read_int: the digit count counts the '-'",
+        "polynomial.py",
+        "len(digits.lstrip('-'))",
+        "len(digits)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "_parse_int: a partition number is read by bare int()",
+        "partition.py",
+        "return read_int(text, PartitionSyntaxError)",
+        "return int(text)",
+        PARTITION_TESTS,
+    ),
+    Mutant(
+        "_digits: a CLI number is read by bare int()",
+        "cli.py",
+        "read_int(text, argparse.ArgumentTypeError)",
+        "int(text)",
+        CLI_TESTS,
+    ),
+    # int_literal, the one rule for the ints of every repr
+    Mutant(
+        "int_literal: an int of exactly 2 126 bits is written in hex",
+        "polynomial.py",
+        "n.bit_length() <= _STR_BITS else hex(n)",
+        "n.bit_length() < _STR_BITS else hex(n)",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "int_literal: no hex fallback, str only",
+        "polynomial.py",
+        "return str(n) if n.bit_length() <= _STR_BITS else hex(n)",
+        "return str(n)",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "ExponentForm.__repr__: back on repr",
+        "partition.py",
+        'f"({int_literal(value)}, {int_literal(multiplicity)})"',
+        'f"({value!r}, {multiplicity!r})"',
+        PARTITION_TESTS,
     ),
     Mutant(
         "parse_polynomial: a syntax error is taken for int() refusing a number in its term",
@@ -1154,24 +1198,24 @@ def _workers() -> int:
     return min(2, cpus)
 
 
-def _verdict(mutant: Mutant, slots: queue.SimpleQueue) -> tuple[str, bool]:
+def _verdict(mutant: Mutant, slots: queue.SimpleQueue) -> tuple[str, str]:
     """Run one mutant in a free worker's copy of ``src/``; returns its
-    verdict line and whether it fails the gate (stale or survived)."""
+    verdict (STALE, SURVIVED, killed or timeout) and its line."""
     scratch = slots.get()
     try:
         src = _fresh_copy(scratch)
         problem = _apply(src, mutant)
         if problem:
-            return f"{'STALE':9} {mutant.name}: {problem}", True
+            return "STALE", f"{'STALE':9} {mutant.name}: {problem}"
         passed, seconds = _pytest(src, mutant.tests)
     finally:
         slots.put(scratch)
     verdict = "SURVIVED" if passed else "killed" if seconds < TIMEOUT_S else "timeout"
-    return f"{verdict:9} {mutant.name} ({seconds:.1f} s)", passed
+    return verdict, f"{verdict:9} {mutant.name} ({seconds:.1f} s)"
 
 
 def main() -> int:
-    failures = 0
+    failures = timeouts = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch_dir:
         scratch = Path(scratch_dir)
         src = _fresh_copy(scratch)
@@ -1199,10 +1243,11 @@ def main() -> int:
         for worker in range(workers):
             slots.put(scratch / f"worker-{worker}")
         with ThreadPoolExecutor(workers) as pool:
-            for line, failed in pool.map(lambda mutant: _verdict(mutant, slots), MUTANTS):
-                failures += failed
+            for verdict, line in pool.map(lambda mutant: _verdict(mutant, slots), MUTANTS):
+                failures += verdict in ("STALE", "SURVIVED")
+                timeouts += verdict == "timeout"
                 print(line, flush=True)
-    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {failures} failing")
+    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {failures} failing, {timeouts} killed only by the timeout")
     return 1 if failures else 0
 
 

@@ -110,6 +110,9 @@ def test_no_module_sets_the_digit_limit():
     assert len(sources) >= 8
     for source in sources:
         assert "set_int_max_str_digits" not in source.read_text(encoding="utf-8"), source.name
+    # and only polynomial.read_int reads it, to name it when int() refuses digits
+    reads = {source.name: source.read_text(encoding="utf-8").count("get_int_max_str_digits") for source in sources}
+    assert {name: count for name, count in reads.items() if count} == {"polynomial.py": 1}
 
 
 def test_benchmark_tracer_wraps_and_restores_package_names(monkeypatch):

@@ -33,6 +33,7 @@ from hilbert_lambda.polynomial import Polynomial, format_polynomial, parse_polyn
 from hilbert_lambda.recovery import recover_delta
 from support import (
     assert_record_contract,
+    digit_limit,
     falling_binom_coeffs,
     flat_scan_offender,
     needs_digit_limit,
@@ -168,6 +169,21 @@ def test_astronomical_record_reprs_pickles_and_copies_from_its_runs():
             len(form)
     assert str(recover_delta(parse_polynomial("x^5")).form).startswith("(6^120,5^6780,4^23513960,3^")
     assert repr(ExponentForm(((2, 10**5000),))) == f"ExponentForm(pairs=((2, {hex(10**5000)}),))"
+
+
+def test_reprs_read_back_under_any_digit_limit():
+    # x^9's answer has 674-digit multiplicities and x^10's 6 410-digit ones;
+    # repr writes each number past 2 126 bits in hex, whatever the limit
+    names = {"ExponentForm": ExponentForm, "Polynomial": Polynomial}
+    for text in ("x^9", "x^10"):
+        form = recover_delta(parse_polynomial(text)).form
+        for record in (form, build_hilbert(form)):
+            with digit_limit(640):
+                shown = repr(record)
+                assert eval(shown, names) == record, text
+            with digit_limit(0):
+                assert repr(record) == shown, text
+            assert repr(record) == shown and eval(shown, names) == record, text
 
 
 def test_exponent_form_round_trip_examples():

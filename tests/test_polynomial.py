@@ -18,6 +18,7 @@ from hilbert_lambda.polynomial import (
     coefficient_texts,
     format_polynomial,
     from_newton,
+    int_literal,
     int_text,
     newton_coeffs,
     parse_polynomial,
@@ -81,8 +82,8 @@ def test_pickles_and_copies_keep_the_canonical_form():
             assert type(q) is Polynomial and q == p
         # repr writes numbers of any size, and eval reads them back under the digit limit
         assert eval(repr(p), {"Polynomial": Polynomial}) == p
-    r = 10**5000  # the sum over i <= r of x + 2 - i; past _STR_BITS bits repr writes hex
-    assert repr(huge) == f"Polynomial.from_integers(0x1, ({hex(2 * r - r * (r + 1) // 2)}, {hex(r)}))"
+    r = 10**5000  # the sum over i <= r of x + 2 - i; repr writes each number past _STR_BITS bits in hex
+    assert repr(huge) == f"Polynomial.from_integers(1, ({hex(2 * r - r * (r + 1) // 2)}, {hex(r)}))"
 
 
 def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
@@ -114,16 +115,20 @@ def _seeded_ints(seed: int) -> list[int]:
 
 
 def test_int_text_agrees_with_str():
-    ints = _seeded_ints(20261020)
-    with digit_limit(0):
-        digits = {n: str(n) for n in ints if n >= 0}
-    expected = [digits[n] if n >= 0 else "-" + digits[-n] for n in ints]
     # int_text calls str only where even the least limit CPython allows, 640
     # digits, cannot refuse it: up to 2 126 bits, as 2 127 bits can give 641 digits
     assert (len(str(2**2126 - 1)), len(str(2**2127 - 1))) == (640, 641)
-    assert [int_text(n) for n in ints] == expected
-    with digit_limit(640):
-        assert [int_text(n) for n in ints] == expected
+    # int by int, smallest first, so that a wrong text fails before the large ints are converted
+    for n in sorted({abs(n) for n in _seeded_ints(20261020)}):
+        with digit_limit(0):
+            digits = str(n)
+        for value in (n, -n):
+            expected = "-" * (value < 0) + digits
+            assert int_text(value) == expected, value.bit_length()
+            with digit_limit(640):
+                assert int_text(value) == expected, value.bit_length()
+                # int_literal, every repr's rule, writes that text up to 2 126 bits and hex past them
+                assert int_literal(value) == (expected if n.bit_length() <= 2126 else hex(value))
 
 
 def test_coefficient_texts_and_format_agree_with_fractions():
