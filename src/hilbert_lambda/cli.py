@@ -79,9 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument("--format", **formats)
     recover.add_argument("--verbose", action="store_true", help="include the per-round recovery trace")
-    recover.add_argument("polynomial", nargs="?", help="polynomial text, e.g. '3*x + 1'")
+    leading_minus = "; one that starts with '-' goes after '--'"
+    recover.add_argument("polynomial", nargs="?", help="polynomial text, e.g. '3*x + 1'" + leading_minus)
     check = add("check", _cmd_check, "exit 0 iff the polynomial is a Hilbert polynomial (stdin batch when omitted)")
-    check.add_argument("polynomial", nargs="?", help="polynomial text")
+    check.add_argument("polynomial", nargs="?", help="polynomial text" + leading_minus)
     build = add("build", _cmd_build, "build the polynomial a partition generates")
     build.add_argument("--format", **formats)
     build.add_argument("partition", help="partition text, e.g. '(2^3,1)' or '[2,2,2,1]'")

@@ -46,7 +46,6 @@ import itertools
 import math
 import operator
 import random
-import re
 import sys
 from typing import Iterator
 
@@ -257,9 +256,9 @@ def parse_partition(text: str) -> ExponentForm:
 
     Whitespace is ignored.  Equal neighbours merge into one run, so
     "(2,2^3,1)" gives ((2, 4), (1, 1)), and no run is ever expanded.  A
-    number is decimal digits after an optional "-" (``-?\\d+``), so "1_0" and
-    "+3" are syntax errors.  Validity is the :class:`ExponentForm`'s own
-    check, so "(1,2)" fails with :class:`NotNonIncreasingError` and "[0]"
+    number is decimal digits (``str.isdecimal``) after an optional "-", so
+    "1_0" and "+3" are syntax errors.  Validity is the :class:`ExponentForm`'s
+    own check, so "(1,2)" fails with :class:`NotNonIncreasingError` and "[0]"
     with :class:`NonPositivePartError`.
     """
     compact = "".join(text.split())
@@ -282,9 +281,6 @@ def parse_partition(text: str) -> ExponentForm:
 
 
 def _parse_int(text: str) -> int:
-    if not _INT.fullmatch(text):  # int() also reads "1_0" and "+3"
+    if not text.removeprefix("-").isdecimal():  # int() also reads "1_0" and "+3"
         raise PartitionSyntaxError(f"expected an integer, found {text!r}")
     return read_int(text, PartitionSyntaxError)
-
-
-_INT = re.compile(r"-?\d+")

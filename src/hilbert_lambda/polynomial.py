@@ -18,9 +18,10 @@ power as integer fractions; one lcm of their denominators gives the
 integer form of :class:`Polynomial`, and only its ``coeffs`` view builds
 :class:`Fraction` values.  No floating point is involved anywhere.
 Where an int meets text and CPython's int-to-str digit limit matters, it is
-here: :func:`int_text` writes decimal of any size for every renderer,
-:func:`int_literal` writes each ``repr``'s ints (decimal up to 2 126 bits,
-hex past them) and :func:`read_int` reads digits or names the limit.
+here, cut at 2 126 bits, the one size that no limit refuses: :func:`int_text`
+writes decimal of any size for every renderer, :func:`int_literal` writes
+each ``repr``'s ints (hex past the cut) and :func:`read_int` reads digits
+or names the limit.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class Polynomial:
     ``scale`` is the lcm of the coefficient denominators and ``numerators``
     holds ``scale * c_i``, with no trailing zeros and
     ``gcd(scale, *numerators) == 1``; the zero polynomial is ``(1, ())``.
-    ``Polynomial(rationals)`` and :meth:`from_integers` both reduce to it.
+    ``Polynomial(rationals)`` and :meth:`from_integers` both reduce to it,
+    and ``repr`` writes it as ``Polynomial.from_integers(scale, (n0, ...))``.
     """
 
     __slots__ = ("scale", "numerators")
@@ -127,8 +129,6 @@ class Polynomial:
         return self.__reduce__()
 
     def __repr__(self) -> str:
-        if max(map(int.bit_length, (self.scale, *self.numerators))) <= _STR_BITS:
-            return f"Polynomial({coefficient_texts(self)!r})"
         ns = ", ".join(map(int_literal, self.numerators)) + "," * (len(self.numerators) == 1)
         return f"Polynomial.from_integers({int_literal(self.scale)}, ({ns}))"
 
@@ -185,10 +185,9 @@ def from_newton(a: list[int]) -> Polynomial:
 
 
 # the most bits of an int whose decimal text has at most 640 digits, the
-# smallest int-to-str digit limit that CPython lets anything set
+# smallest int-to-str digit limit that CPython lets anything set: the one
+# size cut-off where an int meets text
 _STR_BITS = 2126
-# the most bits of an int that _decimal_digits hands to Decimal() whole
-_DECIMAL_BITS = 128
 
 
 def int_text(n: int) -> str:
@@ -217,27 +216,19 @@ def read_int(digits: str, error: Callable[[str], Exception]) -> int:
 
 def _decimal_digits(n: int) -> str:
     """Decimal text of a positive int, as CPython 3.12's ``_pylong`` writes
-    it: n of at most w bits is hi * 2**w2 + lo at w2 = w // 2, both halves
-    are converted the same way and joined in exact ``Decimal`` arithmetic,
-    and each power 2**w2 is made once."""
+    it: n of at most w bits is hi * 2**w2 + lo at w2 = w // 2, split the same
+    way down to halves of at most _STR_BITS bits, which ``Decimal()`` reads
+    whole, and joined in exact ``Decimal`` arithmetic; each power 2**w2 is
+    made once, from the powers of its two halves."""
     powers: dict[int, decimal.Decimal] = {}
 
     def power(w: int) -> decimal.Decimal:
-        # from the halves' powers, or one doubling: about 10 % faster than
-        # Decimal(2) ** w on x^14's and x^16's answers
-        result = powers.get(w)
-        if result is None:
-            if w <= _DECIMAL_BITS:
-                result = decimal.Decimal(1 << w)
-            elif w - 1 in powers:
-                result = powers[w - 1] * 2
-            else:  # the smaller half first, so that the larger may be one doubling of it
-                result = power(w >> 1) * power(w - (w >> 1))
-            powers[w] = result
-        return result
+        if w not in powers:
+            powers[w] = decimal.Decimal(1 << w) if w <= _STR_BITS else power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
 
     def convert(n: int, w: int) -> decimal.Decimal:
-        if w <= _DECIMAL_BITS:
+        if w <= _STR_BITS:
             return decimal.Decimal(n)
         w2 = w >> 1
         hi = n >> w2

@@ -724,6 +724,13 @@ MUTANTS = [
         PARTITION_TESTS,
     ),
     Mutant(
+        "_parse_int: a partition number may start with '+'",
+        "partition.py",
+        'text.removeprefix("-").isdecimal()',
+        'text.lstrip("+-").isdecimal()',
+        PARTITION_TESTS,
+    ),
+    Mutant(
         "_digits: a CLI number is read by bare int()",
         "cli.py",
         "read_int(text, argparse.ArgumentTypeError)",
@@ -975,10 +982,24 @@ MUTANTS = [
     ),
     # Polynomial's repr, equality and pickles
     Mutant(
-        "Polynomial.__repr__: shows each coefficient's repr, Fraction(1, 2), not 1/2",
+        "Polynomial.__repr__: shows each coefficient's repr, Fraction(1, 2), not the integer form",
         "polynomial.py",
-        "{coefficient_texts(self)!r}",
-        "{list(self.coeffs)!r}",
+        'return f"Polynomial.from_integers({int_literal(self.scale)}, ({ns}))"',
+        'return f"Polynomial({list(self.coeffs)!r})"',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "Polynomial.__repr__: writes the numerators with str, which the digit limit can refuse",
+        "polynomial.py",
+        '", ".join(map(int_literal, self.numerators))',
+        '", ".join(map(str, self.numerators))',
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "Polynomial.__repr__: writes one numerator without its trailing comma",
+        "polynomial.py",
+        ' + "," * (len(self.numerators) == 1)',
+        "",
         ("tests/test_polynomial.py",),
     ),
     Mutant(
@@ -1001,6 +1022,13 @@ MUTANTS = [
         "polynomial.py",
         "lo = n - (hi << w2)",
         "lo = n - (hi << w2 + 1)",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "_decimal_digits: power multiplies the smaller half by itself",
+        "polynomial.py",
+        "power(w >> 1) * power(w - (w >> 1))",
+        "power(w >> 1) * power(w >> 1)",
         ("tests/test_polynomial.py",),
     ),
     Mutant(

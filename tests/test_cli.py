@@ -52,6 +52,15 @@ def test_recover_text_failure(monkeypatch, capsys):
     assert out == "not a Hilbert polynomial: negative leading multiplicity (-2 at degree 1 residual)\n"
 
 
+def test_polynomial_with_a_leading_minus_goes_after_double_dash(monkeypatch, capsys):
+    # argparse reads "-x" as an option; after "--" it is the polynomial
+    for argv in (["recover", "--", "-2*x+5"], ["check", "--", "-x"]):
+        assert run_cli(monkeypatch, capsys, argv)[0] == 1
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "--", "-x"])
+    assert (code, err) == (1, "")
+    assert out == "not a Hilbert polynomial: negative leading multiplicity (-1 at degree 1 residual)\n"
+
+
 def test_recover_parse_error_points_at_column(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["recover", "x +"])
     assert code == 2

@@ -276,10 +276,12 @@ def test_parse_partition_rejects_bad_text():
         parse_partition("[2,1")
     with pytest.raises(PartitionSyntaxError):
         parse_partition("(2,)")
-    # numbers are what -?\d+ matches, as in polynomial text, not all that int() reads
-    for text in ("(1_0)", "(+3)", "(2^+1)"):
+    # a number is decimal digits after an optional "-", as str.isdecimal reads
+    # them (Unicode digits included), not all that int() reads
+    for text in ("(1_0)", "(+3)", "(2^+1)", "(-)", "(--1)", "(1-)"):
         with pytest.raises(PartitionSyntaxError):
             parse_partition(text)
+    assert parse_partition("(\N{ARABIC-INDIC DIGIT ONE})") == ExponentForm(((1, 1),))
 
 
 @needs_digit_limit

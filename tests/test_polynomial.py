@@ -62,7 +62,7 @@ def test_equality_and_hash_on_canonical_form():
     assert Polynomial([1]) != Polynomial([2])
     assert not Polynomial([0])
     assert Polynomial([0, 1])
-    assert repr(Polynomial([1, Fraction(1, 2)])) == "Polynomial(['1', '1/2'])"
+    assert repr(Polynomial([1, Fraction(1, 2)])) == "Polynomial.from_integers(2, (2, 1))"
     # a non-Polynomial is left to the other operand's __eq__
     assert Polynomial([1]).__eq__(1) is NotImplemented
 
@@ -70,7 +70,9 @@ def test_equality_and_hash_on_canonical_form():
 def test_pickles_and_copies_keep_the_canonical_form():
     # every protocol, and copies, rebuild through from_integers; numbers past
     # the int-to-str digit limit too, as protocols 0 and 1 write them in hex
-    small = [Polynomial([]), Polynomial([Fraction(1, 2), 3])]
+    small = [Polynomial([]), Polynomial([5]), Polynomial([Fraction(1, 2), 3])]
+    # 3**2000 has 955 digits: past the least digit limit, 640, and within the default
+    small.append(Polynomial([Fraction(1, 3**2000)]))
     huge = build_hilbert(ExponentForm(((2, 10**5000),)))
     assert max(map(abs, huge.numerators)).bit_length() > 16_000
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -80,8 +82,9 @@ def test_pickles_and_copies_keep_the_canonical_form():
     for p in small + [huge]:
         for q in (copy.copy(p), copy.deepcopy(p)):
             assert type(q) is Polynomial and q == p
-        # repr writes numbers of any size, and eval reads them back under the digit limit
-        assert eval(repr(p), {"Polynomial": Polynomial}) == p
+        # repr writes numbers of any size, and eval reads them back under any digit limit
+        with digit_limit(640):
+            assert eval(repr(p), {"Polynomial": Polynomial}) == p
     r = 10**5000  # the sum over i <= r of x + 2 - i; repr writes each number past _STR_BITS bits in hex
     assert repr(huge) == f"Polynomial.from_integers(1, ({hex(2 * r - r * (r + 1) // 2)}, {hex(r)}))"
 
@@ -103,12 +106,13 @@ def _coefficient_lists(seed: int, count: int) -> list[list[tuple[int, int]]]:
 
 
 def _seeded_ints(seed: int) -> list[int]:
-    """Zero, the largest ints of 2 126 and 2 127 bits and, for each bit length
-    round int_text's cutoff and past 1 Mbit, a seeded int of exactly that
-    length, all of each sign."""
+    """Zero, the largest ints of 2 126 and 2 127 bits, 2**4252 (whose low half
+    is 0) and, for each bit length round int_text's cutoff, round the first
+    split into halves of 2 126 and 2 127 bits and past 1 Mbit, a seeded int of
+    exactly that length, all of each sign."""
     rng = random.Random(seed)
-    ints = [0, 2**2126 - 1, -(2**2126 - 1), 2**2127 - 1, -(2**2127 - 1)]
-    for bits in (1, 64, 128, 129, 1000, 2125, 2126, 2127, 2200, 14_000, 100_001, 2**20 + 1):
+    ints = [0, 2**2126 - 1, -(2**2126 - 1), 2**2127 - 1, -(2**2127 - 1), 2**4252, -(2**4252)]
+    for bits in (1, 64, 128, 129, 1000, 2125, 2126, 2127, 2200, 4252, 4253, 4254, 14_000, 100_001, 2**20 + 1):
         n = rng.getrandbits(bits) | 1 << (bits - 1)
         ints += [n, -n]
     return ints
