@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import hilbert_lambda.cli as cli
+import make_cli_digests
 from hilbert_lambda.partition import (
     ExponentForm,
     build_hilbert,
@@ -704,6 +706,17 @@ def test_cli_round_trip_through_text(monkeypatch, capsys, partitions_251):
         code, out, _ = run_cli(monkeypatch, capsys, ["recover", poly_text])
         assert code == 0
         assert out == f"λ = {lam}\n"
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_cli_output_matches_committed_digests(limit):
+    # the same bytes under the default digit limit and the least CPython allows
+    with digit_limit(limit) if limit else contextlib.nullcontext():
+        runs = make_cli_digests.digests()
+    committed = json.loads(make_cli_digests.DIGESTS.read_text())
+    assert runs.keys() == committed.keys()
+    moved = [label for label in runs if runs[label] != committed[label]]
+    assert not moved, f"output moved in {moved}; see tests/make_cli_digests.py"
 
 
 def test_module_entry_point_subprocess():
