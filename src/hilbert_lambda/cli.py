@@ -98,7 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, refused = parser.parse_known_args(argv)
+        if refused:  # parse_args's error, which names "--" where argparse took a polynomial for an option
+            message = f"unrecognized arguments: {' '.join(refused)}"
+            if args.command in ("recover", "check") and _is_polynomial(refused[0]):
+                message += f"; put the polynomial after '--', as in: {parser.prog} {args.command} -- {refused[0]}"
+            parser.error(message)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -108,6 +113,14 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, PolynomialSyntaxError):  # only a polynomial argument raises one this far
             print(f"  {args.polynomial}\n  {' ' * exc.position}^", file=sys.stderr)
         return 2
+
+
+def _is_polynomial(text: str) -> bool:
+    try:
+        parse_polynomial(text)
+    except (PolynomialSyntaxError, MemoryError):  # x^(10^18) parses, but its coefficient list does not fit
+        return False
+    return True
 
 
 def _error_text(exc: Exception) -> str:

@@ -169,19 +169,57 @@ def newton_coeffs(p: Polynomial) -> list[int] | None:
     return None if any(value % scale for value in c) else [value // scale for value in c]
 
 
+# from_newton packs its Horner into one integer from this degree on, while
+# the slots are at most this many bits wide: below the one its fixed cost
+# loses to the list, past the other its digit work does
+_PACKED_DEGREE = 12
+_PACKED_BITS = 512
+
+
 def from_newton(a: list[int]) -> Polynomial:
     """The polynomial sum over k of a_k C(x, k), in monomials, by Horner over
     the integers: q_n = a_n and q_k = a_k * n!/k! + (x - k) q_{k+1} give
-    q_0 = n! * p, the integer form (n!, q_0); ``acc`` is multiplied in place."""
+    q_0 = n! * p, the integer form (n!, q_0).  At mid degrees
+    :func:`_packed_horner` runs it; elsewhere ``acc`` is a list multiplied
+    in place."""
+    n = len(a) - 1
+    if n >= _PACKED_DEGREE:
+        # a function of its own: its locals in this frame cost each small call about 0.1 µs
+        p = _packed_horner(a, n)
+        if p is not None:
+            return p
     acc: list[int] = []
     scale = 1  # n!/k! inside the loop, n! after it
-    for k in range(len(a) - 1, -1, -1):
+    for k in range(n, -1, -1):
         acc.append(0)
         for i in range(len(acc) - 1, 0, -1):
             acc[i] = acc[i - 1] - k * acc[i]
         acc[0] = a[k] * scale - k * acc[0]
         scale *= k or 1
     return Polynomial.from_integers(scale, acc)
+
+
+def _packed_horner(a: list[int], n: int) -> Polynomial | None:
+    """:func:`from_newton` at degree n with q_k one integer, its coefficients
+    in signed w-bit slots (Kronecker substitution x = 2**w), so that a step
+    is three integer operations; None where w passes _PACKED_BITS.
+    q_0 = sum of a_k n!/k! x(x-1)...(x-k+1), and the absolute values of the
+    coefficients of x(x-1)...(x-k+1) sum to k!, so no coefficient of q_0
+    reaches n! * sum |a_k|: w is one bit more, in whole bytes.  The slots are
+    read once, after 2**(w-1) is added to each."""
+    scale = math.factorial(n)
+    size = ((scale * sum(map(abs, a))).bit_length() + 8) // 8  # bytes per slot
+    if size * 8 > _PACKED_BITS:
+        return None
+    w, q, s = size * 8, 0, 1  # s = n!/k!
+    for k in range(n, -1, -1):
+        q = (q << w) - k * q + a[k] * s
+        s *= k or 1
+    half = 1 << (w - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")  # half in every slot
+    data = (q + bias).to_bytes(size * (n + 1), "little")
+    slots = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+    return Polynomial.from_integers(scale, slots)
 
 
 # the most bits of an int whose decimal text has at most 640 digits, the

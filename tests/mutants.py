@@ -375,6 +375,20 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
+        "main: every refused argument of recover and check is told to go after '--'",
+        "cli.py",
+        'args.command in ("recover", "check") and _is_polynomial(refused[0])',
+        'args.command in ("recover", "check")',
+        CLI_TESTS,
+    ),
+    Mutant(
+        "_is_polynomial: a refused polynomial too large to build crashes main with a MemoryError",
+        "cli.py",
+        "except (PolynomialSyntaxError, MemoryError):",
+        "except PolynomialSyntaxError:",
+        CLI_TESTS,
+    ),
+    Mutant(
         "recover --ambient: a largest part equal to N does not fit",
         "cli.py",
         "pairs[0][0] <= ambient",
@@ -949,6 +963,36 @@ MUTANTS = [
         "polynomial.py",
         "- k * acc[0]",
         "+ k * acc[0]",
+        ("tests/test_polynomial.py",),
+    ),
+    # from_newton's packed Horner, which alone runs at mid degrees; mutants of
+    # its two cuts only move inputs to the list, which gives the same answers
+    Mutant(
+        "from_newton packed: the read-out drops the bias, so negative slots read wrong",
+        "polynomial.py",
+        "(q + bias).to_bytes",
+        "q.to_bytes",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "from_newton packed: the step multiplies by k + 1, not k",
+        "polynomial.py",
+        "- k * q +",
+        "- (k + 1) * q +",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "from_newton packed: s = n!/k! steps by k + 1, not k",
+        "polynomial.py",
+        "s *= k or 1",
+        "s *= k + 1",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "from_newton packed: the shift is w - 8 bits, one byte short of a slot",
+        "polynomial.py",
+        "(q << w)",
+        "(q << w - 8)",
         ("tests/test_polynomial.py",),
     ),
     Mutant(

@@ -61,6 +61,17 @@ def test_polynomial_with_a_leading_minus_goes_after_double_dash(monkeypatch, cap
     code, out, err = run_cli(monkeypatch, capsys, ["recover", "--", "-x"])
     assert (code, err) == (1, "")
     assert out == "not a Hilbert polynomial: negative leading multiplicity (-1 at degree 1 residual)\n"
+    # without "--" the usage error says to write it; any other refused argument keeps argparse's text
+    usage = "usage: hilbert-lambda [-h] {recover,check,build,random} ...\n"
+    for argv in (["recover", "-x"], ["recover", "-2*x+5"], ["recover", "-1/2"], ["check", "-x"]):
+        command, polynomial = argv
+        hint = f"; put the polynomial after '--', as in: hilbert-lambda {command} -- {polynomial}"
+        error = f"hilbert-lambda: error: unrecognized arguments: {polynomial}{hint}\n"
+        assert run_cli(monkeypatch, capsys, argv) == (2, "", usage + error)
+    error = "hilbert-lambda: error: unrecognized arguments: --bogus\n"
+    assert run_cli(monkeypatch, capsys, ["recover", "--bogus", "3"]) == (2, "", usage + error)
+    error = "hilbert-lambda: error: unrecognized arguments: -x^1000000000000000000\n"  # too large to build
+    assert run_cli(monkeypatch, capsys, ["recover", "-x^1000000000000000000"]) == (2, "", usage + error)
 
 
 def test_recover_parse_error_points_at_column(monkeypatch, capsys):

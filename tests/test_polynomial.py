@@ -34,6 +34,7 @@ from support import (
     needs_digit_limit,
     newton_horner_reference,
     past_digit_limit,
+    two_chain_peel,
 )
 
 BIG = "1" * 5000  # past the default int-to-str digit limit
@@ -190,11 +191,25 @@ def test_evaluate_matches_fraction_horner():
 
 def test_from_newton_matches_list_rebuild_horner():
     rng = random.Random(29)
+    inputs = []
     for i in range(300):
         length = 121 if i < 3 else rng.randint(0, 40)  # the longest reach degree 120
         a = [rng.randint(-10**6, 10**6) if rng.random() < 0.8 else 0 for _ in range(length)]
         if i % 4 == 0 and a:
             a[-1] = 0  # a zero top coefficient lowers the degree
+        inputs.append(a)
+    # either side of the degree cut, 12, of the packed Horner
+    inputs += [[rng.randint(-10**6, 10**6) for _ in range(n + 1)] for n in (11, 11, 12, 12, 13, 13)]
+    # slots of both signs, 256 bits wide at degree 30; 10**200 at degree 20
+    # widens the slots past the 512-bit cut, so the list runs
+    for n, size in ((12, 10**40), (13, 10**40), (30, 10**40), (20, 10**200)):
+        inputs.append([(-1) ** k * rng.randint(size // 2, size) for k in range(n + 1)])
+    for top in (98, 121):  # staircases of degrees 97 and 120, as build_hilbert peels them
+        a = [0] * top
+        for i, part in enumerate(range(top, 0, -1), 1):
+            two_chain_peel(a, part, i, i)
+        inputs.append([-b for b in a])
+    for a in inputs:
         p = from_newton(a)
         expected = newton_horner_reference(a)
         assert (p.scale, p.numerators) == (expected.scale, expected.numerators), a
