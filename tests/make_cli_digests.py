@@ -98,6 +98,33 @@ def decide_texts() -> list[str]:
     return texts
 
 
+def degree_texts() -> list[str]:
+    """The stdin lines of the variants that cross each residue mod 3 of the
+    degree and the mid and high degrees: every degree 3..14, staircases of
+    degrees 35, 50 and 80, and one- to three-valued shapes of degrees 24..99
+    (a largest part, then 2 parts just below 3/4 of it and 3 just below 1/2),
+    some with one coefficient moved so that they are not Hilbert."""
+    rng = random.Random(20261023)
+    shapes = []
+    for degree in range(3, 15):
+        length = rng.randint(1, 6)
+        shapes.append([degree + 1] + sorted((rng.randint(1, degree + 1) for _ in range(length - 1)), reverse=True))
+    shapes += [list(range(degree + 1, 0, -1)) for degree in (35, 50, 80)]
+    for low, high, distinct in ((25, 30, 3), (38, 44, 2), (51, 57, 1), (65, 71, 3), (78, 84, 2), (95, 100, 1)):
+        largest = rng.randint(low, high)
+        values = [largest] + [largest * quarters // 4 - rng.randint(0, 3) for quarters in (3, 2)]
+        shapes.append([v for v, mult in zip(values[:distinct], (1, 2, 3)) for _ in range(mult)])
+    texts = []
+    for i, parts in enumerate(shapes):
+        coeffs = _hilbert_coeffs(parts)
+        texts.append(_text(coeffs, rng))
+        if i % 4 == 2:  # the same shape with one coefficient moved
+            k = rng.randrange(len(coeffs))
+            coeffs[k] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+            texts.append(_text(coeffs, rng))
+    return texts
+
+
 def _shapes() -> dict[str, str]:
     """Partition texts whose degrees lie on both sides of every size cut
     in ``build_hilbert``, and one with a 10^400 multiplicity."""
@@ -129,6 +156,9 @@ def variants() -> dict[str, tuple[list[str], str]]:
             argv = ["recover", "--format", form, *options]
             runs[" ".join(argv) + " < texts"] = argv, stdin
     runs["check < texts"] = ["check"], stdin
+    stdin = "\n".join(degree_texts()) + "\n"
+    for argv in (["recover", "--format", "json"], ["recover", "--verbose"], ["check"]):
+        runs[" ".join(argv) + " < degree texts"] = argv, stdin
     for label, partition in _shapes().items():
         for form in ("text", "json"):
             runs[f"build --format {form} {label}"] = ["build", "--format", form, partition], ""
