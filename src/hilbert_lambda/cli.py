@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
 def _is_polynomial(text: str) -> bool:
     try:
         parse_polynomial(text)
-    except (PolynomialSyntaxError, MemoryError):  # x^(10^18) parses, but its coefficient list does not fit
+    except PolynomialSyntaxError:
         return False
     return True
 

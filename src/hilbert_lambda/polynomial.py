@@ -154,26 +154,51 @@ def newton_coeffs(p: Polynomial) -> list[int] | None:
     synthetic division of ``L*p`` by x, x - 1, ..., x - n + 1 leaves remainders
     b_k with ``L*p = sum over k of b_k x(x-1)...(x-k+1)``, so ``L*a_k = k! b_k``,
     all in integers; p is integer-valued exactly when ``L`` divides every
-    ``L*a_k`` (Pólya 1915), so that test and the division by ``L`` live here."""
+    ``L*a_k`` (Pólya 1915), so that test and the division by ``L`` live here.
+    The divisions by x - k, x - k - 1 and x - k - 2 run as one descending
+    pass, each trailing the one before by an index, while more than three
+    remain; the last one to three run alone."""
     scale, c = p.scale, list(p.numerators)
     n = len(c) - 1
-    factorial = 1
-    for k in range(1, n + 1):
+    factorial, k = 1, 1
+    while k + 3 <= n:
         # c[k..n] is the quotient so far, lowest power first (by x it is just
-        # c[1..n]); dividing it by x - k in place leaves b_k in c[k]
+        # c[1..n]); s, t and u step the divisions by x - k, x - k - 1 and
+        # x - k - 2, and u is final two indices above s, where it is stored
+        top = c[n]
+        s = c[n - 1] + k * top
+        t = s + (k + 1) * top
+        s = c[n - 2] + k * s
+        u = top
+        for i in range(n - 3, k - 1, -1):
+            s, t, u = c[i] + k * s, s + (k + 1) * t, t + (k + 2) * u
+            c[i + 2] = u
+        # the remainders b_k, b_{k+1} and b_{k+2}, times their factorials
+        factorial *= k
+        c[k] = s * factorial
+        factorial *= k + 1
+        c[k + 1] = t * factorial
+        factorial *= k + 2
+        c[k + 2] *= factorial
+        k += 3
+    for k in range(k, n + 1):
         s = c[n]
         for i in range(n - 1, k - 1, -1):
             s = c[i] = c[i] + k * s
         factorial *= k
         c[k] *= factorial
-    return None if any(value % scale for value in c) else [value // scale for value in c]
+    a = []
+    for value in c:
+        a_k, remainder = divmod(value, scale)
+        if remainder:
+            return None
+        a.append(a_k)
+    return a
 
 
-# from_newton packs its Horner into one integer from this degree on, while
-# the slots are at most this many bits wide: below the one its fixed cost
-# loses to the list, past the other its digit work does
+# from_newton packs its Horner into one integer from this degree on: below
+# it the packing's fixed cost loses to the list
 _PACKED_DEGREE = 12
-_PACKED_BITS = 512
 
 
 def from_newton(a: list[int]) -> Polynomial:
@@ -191,10 +216,12 @@ def from_newton(a: list[int]) -> Polynomial:
     acc: list[int] = []
     scale = 1  # n!/k! inside the loop, n! after it
     for k in range(n, -1, -1):
-        acc.append(0)
-        for i in range(len(acc) - 1, 0, -1):
-            acc[i] = acc[i - 1] - k * acc[i]
-        acc[0] = a[k] * scale - k * acc[0]
+        prev = 0  # acc[i - 1] before this step
+        for i, v in enumerate(acc):
+            acc[i] = prev - k * v
+            prev = v
+        acc.append(prev)
+        acc[0] += a[k] * scale
         scale *= k or 1
     return Polynomial.from_integers(scale, acc)
 
@@ -202,14 +229,16 @@ def from_newton(a: list[int]) -> Polynomial:
 def _packed_horner(a: list[int], n: int) -> Polynomial | None:
     """:func:`from_newton` at degree n with q_k one integer, its coefficients
     in signed w-bit slots (Kronecker substitution x = 2**w), so that a step
-    is three integer operations; None where w passes _PACKED_BITS.
+    is three integer operations; None where w is too wide for it to win.
     q_0 = sum of a_k n!/k! x(x-1)...(x-k+1), and the absolute values of the
     coefficients of x(x-1)...(x-k+1) sum to k!, so no coefficient of q_0
     reaches n! * sum |a_k|: w is one bit more, in whole bytes.  The slots are
     read once, after 2**(w-1) is added to each."""
     scale = math.factorial(n)
     size = ((scale * sum(map(abs, a))).bit_length() + 8) // 8  # bytes per slot
-    if size * 8 > _PACKED_BITS:
+    # past this width the digit work loses to the list: the break-even is near
+    # 16n bits up to degree 24 and near 4n + 320 from there to degree 120
+    if size * 8 > min(16 * n, 4 * n + 320):
         return None
     w, q, s = size * 8, 0, 1  # s = n!/k!
     for k in range(n, -1, -1):
@@ -379,7 +408,12 @@ def parse_polynomial(text: str) -> Polynomial:
         _past_the_limit(m)
         raise  # reached only if another thread has raised the digit limit since
     scale = math.lcm(*[common for _, common in powers.values()])
-    numerators = [0] * (max(powers) + 1)
+    top = max(powers)
+    try:
+        numerators = [0] * (top + 1)
+    except MemoryError:
+        message = "exponent is too large: its coefficient list does not fit in memory"
+        raise PolynomialSyntaxError(message, _exponent_column(text, top)) from None
     for power, (total, common) in powers.items():
         numerators[power] = total * (scale // common)
     return Polynomial.from_integers(scale, numerators)
@@ -389,6 +423,16 @@ def _no_number(m: re.Match, group: str) -> NoReturn:
     if m[group]:
         raise DenominatorZeroError("denominator is zero", m.start(group))
     raise PolynomialSyntaxError("expected digits", m.start(group))
+
+
+def _exponent_column(text: str, power: int) -> int:
+    """The column of the first exponent ``power`` in ``text``, which parses."""
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if m["exp"] and int(m["exp"]) == power:
+            return m.start("exp")
+        pos = m.end()
 
 
 def _past_the_limit(m: re.Match) -> None:

@@ -382,10 +382,17 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
-        "_is_polynomial: a refused polynomial too large to build crashes main with a MemoryError",
-        "cli.py",
-        "except (PolynomialSyntaxError, MemoryError):",
-        "except PolynomialSyntaxError:",
+        "parse_polynomial: an exponent too large to allocate raises MemoryError, not a syntax error at its column",
+        "polynomial.py",
+        "except MemoryError:",
+        "except OverflowError:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "parse_polynomial: an exponent too large to allocate is reported at the first exponent's column",
+        "polynomial.py",
+        'if m["exp"] and int(m["exp"]) == power:',
+        'if m["exp"]:',
         CLI_TESTS,
     ),
     Mutant(
@@ -947,22 +954,22 @@ MUTANTS = [
     Mutant(
         "from_newton: the top coefficient skips its Horner step",
         "polynomial.py",
-        "range(len(acc) - 1, 0, -1)",
-        "range(len(acc) - 2, 0, -1)",
+        "acc.append(prev)",
+        "acc.append(0)",
         ("tests/test_polynomial.py",),
     ),
     Mutant(
         "from_newton: the inner Horner step multiplies by k + 1, not k",
         "polynomial.py",
-        "acc[i] = acc[i - 1] - k * acc[i]",
-        "acc[i] = acc[i - 1] - (k + 1) * acc[i]",
+        "acc[i] = prev - k * v",
+        "acc[i] = prev - (k + 1) * v",
         ("tests/test_polynomial.py",),
     ),
     Mutant(
         "from_newton: the constant term's Horner step adds k * acc[0]",
         "polynomial.py",
-        "- k * acc[0]",
-        "+ k * acc[0]",
+        "acc[0] += a[k] * scale",
+        "acc[0] = a[k] * scale - acc[0]",
         ("tests/test_polynomial.py",),
     ),
     # from_newton's packed Horner, which alone runs at mid degrees; mutants of
@@ -1002,26 +1009,69 @@ MUTANTS = [
         "return Fraction(acc, self.scale * power)",
         ("tests/test_polynomial.py",),
     ),
+    # newton_coeffs' three synthetic divisions in one pass, and those left over
     Mutant(
         "newton_coeffs: each synthetic division stops one coefficient early",
         "polynomial.py",
+        "range(n - 3, k - 1, -1)",
+        "range(n - 3, k, -1)",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "newton_coeffs: each division left over stops one coefficient early",
+        "polynomial.py",
         "range(n - 1, k - 1, -1)",
         "range(n - 1, k, -1)",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "newton_coeffs: the middle division multiplies by k, not k + 1",
+        "polynomial.py",
+        "s + (k + 1) * t,",
+        "s + k * t,",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "newton_coeffs: the last division's value is stored one index low",
+        "polynomial.py",
+        "c[i + 2] = u",
+        "c[i + 1] = u",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "newton_coeffs: the first division's second seed reads c[n - 3]",
+        "polynomial.py",
+        "s = c[n - 2] + k * s",
+        "s = c[n - 3] + k * s",
+        ("tests/test_polynomial.py",),
+    ),
+    Mutant(
+        "newton_coeffs: the middle remainder's factorial skips k + 1",
+        "polynomial.py",
+        "        factorial *= k + 1\n",
+        "",
         ("tests/test_polynomial.py",),
     ),
     # newton_coeffs' Pólya test, the one place that reads the scale L
     Mutant(
         "newton_coeffs: no Pólya integrality check, so x/2 decides as the empty partition",
         "polynomial.py",
-        "any(value % scale for value in c)",
-        "False",
+        "a_k, remainder = divmod(value, scale)",
+        "a_k, remainder = value // scale, 0",
         RECOVERY_TESTS,
+    ),
+    Mutant(
+        "newton_coeffs: the remainder check is dropped, so a fraction at any index is floored",
+        "polynomial.py",
+        "if remainder:",
+        "if False:",
+        ("tests/test_polynomial.py",),
     ),
     Mutant(
         "newton_coeffs: the zero polynomial gives None, not []",
         "polynomial.py",
-        "None if any(value % scale for value in c)",
-        "None if not c or any(value % scale for value in c)",
+        "        a.append(a_k)\n    return a\n",
+        "        a.append(a_k)\n    return a or None\n",
         ("tests/test_polynomial.py",),
     ),
     # Polynomial's repr, equality and pickles

@@ -683,6 +683,23 @@ def test_powers_and_parts_from_sys_maxsize_on_say_so(monkeypatch, capsys, argv, 
         assert err.splitlines()[2] == "  " + " " * column + "^"
 
 
+def test_exponent_too_large_to_allocate_is_a_syntax_error(monkeypatch, capsys):
+    # below sys.maxsize, but its coefficient list does not fit: the largest exponent's column
+    message = "exponent is too large: its coefficient list does not fit in memory"
+    text = "x^5 - x^1000000000000000000 + 2*x^1000000000000000000/3"
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "--", text])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} at column 8\n  {text}\n  {' ' * 8}^\n"
+    code, out, err = run_cli(monkeypatch, capsys, ["check", "--", "-x^1000000000000000000"])
+    assert (code, out, err.splitlines()[0]) == (2, "", f"error: {message} at column 3")
+    stdin_text = "x + 1\n3*x^1000000000000000000 + 1\n1\n"
+    code, out, err = run_cli(monkeypatch, capsys, ["recover", "--format", "json"], stdin_text=stdin_text)
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert (code, err, len(lines)) == (2, "", 3)
+    assert lines[1] == {"input": "3*x^1000000000000000000 + 1", "error": f"{message} at column 4"}
+    assert lines[0]["hilbert"] and lines[2]["hilbert"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -201,9 +201,22 @@ def test_from_newton_matches_list_rebuild_horner():
     # either side of the degree cut, 12, of the packed Horner
     inputs += [[rng.randint(-10**6, 10**6) for _ in range(n + 1)] for n in (11, 11, 12, 12, 13, 13)]
     # slots of both signs, 256 bits wide at degree 30; 10**200 at degree 20
-    # widens the slots past the 512-bit cut, so the list runs
+    # widens the slots past the 320-bit cut there, so the list runs
     for n, size in ((12, 10**40), (13, 10**40), (30, 10**40), (20, 10**200)):
         inputs.append([(-1) ** k * rng.randint(size // 2, size) for k in range(n + 1)])
+    # every degree the list alone runs, with zero and negative a_k
+    for n in range(12):
+        inputs += [[0] * n + [1], [0] * n + [-3], [-1] * (n + 1), [(-1) ** k * k for k in range(n + 1)]]
+        inputs += [[rng.choice((0, 0, -1, 1)) * rng.randint(1, 10**40) for _ in range(n + 1)] for _ in range(3)]
+    # the widest slots, in whole bytes, within the packed route's width cut of
+    # min(16n, 4n + 320) bits, and one byte wider
+    for n in (12, 24, 25, 50, 97, 120):
+        widest = min(16 * n, 4 * n + 320) // 8 * 8
+        for w in (widest, widest + 8):
+            a = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            a.append(rng.choice((-1, 1)) * -(-(2 ** (w - 2)) // math.factorial(n)))  # n! * sum |a_k| has w - 1 bits
+            assert ((math.factorial(n) * sum(map(abs, a))).bit_length() + 8) // 8 * 8 == w
+            inputs.append(a)
     for top in (98, 121):  # staircases of degrees 97 and 120, as build_hilbert peels them
         a = [0] * top
         for i, part in enumerate(range(top, 0, -1), 1):
@@ -258,6 +271,14 @@ def _newton_test_polynomials() -> list[Polynomial]:
         if family == 1:  # negative lead
             a[-1] = -a[-1]
         polys.append(from_newton(a))
+    # every degree to 14, so each count of ranks left over after the fused
+    # divisions: signed numerators to 10**40 over scales up to 24!
+    for d in range(15):
+        for scale in (1, rng.randint(2, 10**6), math.factorial(d), math.factorial(24)):
+            numerators = [rng.randint(-(10**40), 10**40) for _ in range(d + 1)]
+            numerators[-1] = numerators[-1] or 1
+            polys.append(Polynomial.from_integers(scale, numerators))
+        polys.append(from_newton([rng.randint(-(10**40), 10**40) for _ in range(d)] + [rng.randint(1, 10**40)]))
     return polys
 
 
@@ -277,6 +298,18 @@ def test_newton_coeffs_are_differences_of_samples():
             expected.append(window[0])
         assert all(type(value) is int for value in table), p
         assert table == expected, p
+    # one a_k that is not an integer, at each index k of every degree to 14:
+    # the Pólya test finds it wherever it is
+    rng = random.Random(67)
+    for n in range(15):
+        a = [rng.randint(-(10**40), 10**40) for _ in range(n)] + [rng.randint(1, 10**40)]
+        assert newton_coeffs(from_newton(a)) == a
+        for k in range(n + 1):
+            q = rng.choice((2, 3, 7, 24))
+            b = [q * value for value in a]
+            b[k] += rng.randint(1, q - 1)  # so b / q is sum of a_i C(x, i), plus a fraction of C(x, k)
+            p = from_newton(b)
+            assert newton_coeffs(Polynomial.from_integers(p.scale * q, p.numerators)) is None, (n, k)
 
 
 @pytest.mark.parametrize(
